@@ -6,26 +6,23 @@ built from exact per-frequency propagators, radial quadrature, and decay-rate
 fits; see the module docstrings for the division of labor.
 """
 
-from .data_catalog import DataProfile, ProfileTerms, decompose, make_profile, \
-    parse_profile, profile_terms
+from .data_catalog import DataProfile, ProfileTerms, make_profile, parse_profile, \
+    profile_terms
 from .propagator import OdeConfig, PropagatorMode, StepLimitExceeded, ode_oracle, \
     propagate_closed
 from .quadrature import NonConvergence, QuadResult, TailNotBounded, a_const, f_osc, \
     integral_Ip, integral_Jp, integrate, optimality_integral, substitution_oracle
-from .symbols import EnergyDensities, SpectralState, SymbolValues, char_roots, \
-    dissipation_f, dissipation_f_effective, energy_densities, energy_e, energy_e0, \
-    log_symbol, phi, pointwise_bound_margin, rho, source_r, symbol_values
+from .symbols import SpectralState, dissipation_f, dissipation_f_effective, energy_e, \
+    energy_e0, log_symbol, phi, rho, source_r
 
 __all__ = [
-    "DataProfile", "ProfileTerms", "decompose", "make_profile", "parse_profile",
-    "profile_terms", "OdeConfig", "PropagatorMode", "StepLimitExceeded",
-    "ode_oracle", "propagate_closed", "NonConvergence", "QuadResult",
-    "TailNotBounded", "a_const", "f_osc", "integral_Ip", "integral_Jp",
-    "integrate", "optimality_integral", "substitution_oracle", "EnergyDensities",
-    "SpectralState", "SymbolValues", "char_roots", "dissipation_f",
-    "dissipation_f_effective", "energy_densities", "energy_e", "energy_e0",
-    "log_symbol", "phi", "pointwise_bound_margin", "rho", "source_r",
-    "symbol_values",
+    "DataProfile", "ProfileTerms", "make_profile", "parse_profile", "profile_terms",
+    "OdeConfig", "PropagatorMode", "StepLimitExceeded", "ode_oracle",
+    "propagate_closed", "NonConvergence", "QuadResult", "TailNotBounded", "a_const",
+    "f_osc", "integral_Ip", "integral_Jp", "integrate", "optimality_integral",
+    "substitution_oracle", "SpectralState", "dissipation_f",
+    "dissipation_f_effective", "energy_e", "energy_e0", "log_symbol", "phi", "rho",
+    "source_r",
 ]
 
 __version__ = "0.1.0"

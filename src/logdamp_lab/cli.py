@@ -8,6 +8,7 @@ configuration or usage error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,34 +76,62 @@ def _merge_settings(kwargs: dict) -> dict:
     return merged
 
 
+def _integer(value) -> int:
+    # an int, an integral float or a decimal string; never a bool
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
+def _real(value) -> float:
+    # a finite number or numeric string; never a bool
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        out = float(value)
+        if math.isfinite(out):
+            return out
+    raise ValueError(f"{value!r} is not a finite number")
+
+
+def _text(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{value!r} is not a string")
+
+
+def _field(settings: dict, key: str, convert):
+    """convert(settings[key]); a rejection becomes a ConfigInvalid naming key."""
+    try:
+        return convert(settings[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"{key}: {exc}") from exc
+
+
 def build_config(command: str, kwargs: dict) -> RunConfig:
     s = _merge_settings(kwargs)
-    try:
-        n = int(s["n"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"n: {s['n']!r} is not an integer") from exc
+    n = _field(s, "n", _integer)
     if n < 3:
         raise ConfigInvalid(f"n: {n} is below the supported range (need N >= 3)")
+    mode = _field(s, "mode", PropagatorMode)
+    if command in ("lemmas", "all") and mode is not PropagatorMode.ODE:
+        raise ConfigInvalid(f"mode: {command} runs the inequality sweeps, "
+                            f"which are defined for mode ode only")
     try:
-        mode = PropagatorMode(str(s["mode"]).lower())
+        tgrid = TimeGrid(_field(s, "t_lo", _real), _field(s, "t_hi", _real),
+                         _field(s, "t_count", _integer),
+                         _field(s, "t_spacing", _text))
     except ValueError as exc:
-        raise ConfigInvalid(f"mode: {s['mode']!r} (expected ode|paper)") from exc
-    try:
-        tgrid = TimeGrid(float(s["t_lo"]), float(s["t_hi"]), int(s["t_count"]),
-                         str(s["t_spacing"]))
-    except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"time grid: {exc}") from exc
-    tol = float(s["tol"])
+    tol = _field(s, "tol", _real)
     if tol <= 0:
         raise ConfigInvalid(f"tol: {tol} must be positive")
-    try:
-        p0 = parse_profile(str(s["u0"]), N=n)
-        p1 = parse_profile(str(s["u1"]), N=n)
-    except ValueError as exc:
-        raise ConfigInvalid(f"profile: {exc}") from exc
     return RunConfig(
-        command=command, N=n, mode=mode, profile_u0=p0, profile_u1=p1,
-        tgrid=tgrid, tol=tol, out_dir=Path(str(s["out"])), seed=int(s["seed"]),
+        command=command, N=n, mode=mode,
+        profile_u0=_field(s, "u0", lambda d: parse_profile(_text(d), N=n)),
+        profile_u1=_field(s, "u1", lambda d: parse_profile(_text(d), N=n)),
+        tgrid=tgrid, tol=tol, out_dir=Path(_field(s, "out", _text)),
+        seed=_field(s, "seed", _integer),
     )
 
 

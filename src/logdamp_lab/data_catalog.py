@@ -227,37 +227,13 @@ def parse_profile(descriptor: str, N: int = 3) -> DataProfile:
     return make_profile(kind, N=N, **params)
 
 
-def decompose(profile: DataProfile, xi):
-    """Split the transform at xi into (A, B) with hat = A - iB + P1.
-
-    xi may be a frequency vector of length N, or a plain radius for radial
-    profiles.  A is the cosine remainder, B the sine moment (zero for radial
-    data).
-    """
-    xi_arr = np.asarray(xi, dtype=float)
-    if xi_arr.ndim == 0:
-        if not profile.is_radial:
-            raise ValueError("scalar radius only valid for radial profiles")
-        h = complex(profile.hat_radial(float(xi_arr)))
-    else:
-        if xi_arr.shape[-1] != profile.N:
-            raise ValueError(f"expected frequency vector of length {profile.N}")
-        h = complex(profile.hat(xi_arr))
-    return h.real - profile.P1, -h.imag
-
-
-def profile_terms(profile: DataProfile, r: float, t: float,
-                  theta_policy: str = "remainder") -> ProfileTerms:
+def profile_terms(profile: DataProfile, r: float, t: float) -> ProfileTerms:
     """The three-term split of the zero-displacement solution at (r, t).
 
     F1 carries the datum's deviation from its mass, F3 is the wave-like
-    leading term with phase t sqrt(L), and F2 is their exact complement:
-    the quarter-frequency solution equals F1 + F2 + F3 identically.
-
-    theta_policy "remainder" returns F2 = u_hat - F1 - F3 exactly;
-    "mean_value" instead evaluates t cos(mu t) (pi/4 - sqrt(L)) at a
-    numerically located intermediate point mu between pi/4 and sqrt(L),
-    which exists by the mean value theorem and reproduces the remainder.
+    leading term with phase t sqrt(L), and F2 = u_hat - F1 - F3 is their
+    exact complement: the quarter-frequency solution equals F1 + F2 + F3
+    identically.
     """
     if not profile.is_radial:
         raise ValueError("profile terms require a radial profile")
@@ -270,45 +246,8 @@ def profile_terms(profile: DataProfile, r: float, t: float,
     A = float(profile.hat_radial(r)) - profile.P1
     f1 = four_over_pi * A * env * math.sin(math.pi * t / 4.0)
     f3 = four_over_pi * profile.P1 * env * math.sin(t * sq)
-    exact_f2 = four_over_pi * profile.P1 * env * (
+    f2 = four_over_pi * profile.P1 * env * (
         math.sin(math.pi * t / 4.0) - math.sin(t * sq)
     )
-    if theta_policy == "remainder":
-        f2 = exact_f2
-    elif theta_policy == "mean_value":
-        f2 = _mean_value_f2(profile.P1, L, t, env, exact_f2)
-    else:
-        raise ValueError(f"unknown theta policy {theta_policy!r}")
     return ProfileTerms(f1=complex(f1), f2=complex(f2), f3=complex(f3))
 
-
-def _mean_value_f2(P1: float, L: float, t: float, env: float, exact: float) -> float:
-    gap = math.pi / 4.0 - math.sqrt(L)
-    lead = (4.0 / math.pi) * P1 * gap * env * t
-    if lead == 0.0 or t == 0.0:
-        return 0.0
-    target = exact / lead  # the cos(mu t) value the intermediate point must hit
-    thetas = np.linspace(0.0, 1.0, 4097)
-    mu = math.pi / 4.0 * thetas + (1.0 - thetas) * math.sqrt(L)
-    vals = np.cos(mu * t) - target
-    idx = int(np.argmin(np.abs(vals)))
-    # refine by bisection if a sign change brackets the root
-    lo = max(idx - 1, 0)
-    hi = min(idx + 1, len(thetas) - 1)
-    a, b = thetas[lo], thetas[hi]
-
-    def h(th):
-        return math.cos((math.pi / 4.0 * th + (1.0 - th) * math.sqrt(L)) * t) - target
-
-    if h(a) * h(b) <= 0.0:
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            if h(a) * h(m) <= 0.0:
-                b = m
-            else:
-                a = m
-        theta = 0.5 * (a + b)
-    else:
-        theta = thetas[idx]
-    mu_star = math.pi / 4.0 * theta + (1.0 - theta) * math.sqrt(L)
-    return lead * math.cos(mu_star * t)

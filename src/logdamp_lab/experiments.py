@@ -62,6 +62,11 @@ class TimeGrid:
         return np.linspace(self.lo, self.hi, self.count)
 
 
+def _times(tgrid) -> np.ndarray:
+    """Sample times of a TimeGrid, or an explicit array of times."""
+    return tgrid.times() if isinstance(tgrid, TimeGrid) else np.asarray(tgrid, dtype=float)
+
+
 @dataclass
 class Trace:
     times: np.ndarray
@@ -204,22 +209,24 @@ def dissipation_value(p0, p1, N, t, mode, rel_tol=1e-10) -> float:
     return _spectral_quadratic(p0, p1, N, t, mode, wv=lambda L: L, rel_tol=rel_tol)
 
 
+def _value_trace(value, label, p0, p1, N, tgrid, mode, rel_tol) -> Trace:
+    times = _times(tgrid)
+    return Trace(times, np.asarray([value(p0, p1, N, float(t), mode, rel_tol)
+                                    for t in times]), label)
+
+
 def energy_trace(profile_u0, profile_u1, N, tgrid, mode=PropagatorMode.ODE,
                  rel_tol=1e-9) -> Trace:
     """Total-energy trace (twice the scalar energy), radially integrated."""
-    times = tgrid.times() if isinstance(tgrid, TimeGrid) else np.asarray(tgrid, dtype=float)
-    vals = [energy_value(profile_u0, profile_u1, N, float(t), mode, rel_tol)
-            for t in times]
-    return Trace(times, np.asarray(vals), "energy")
+    return _value_trace(energy_value, "energy", profile_u0, profile_u1, N, tgrid,
+                        mode, rel_tol)
 
 
 def l2_trace(profile_u0, profile_u1, N, tgrid, mode=PropagatorMode.ODE,
              rel_tol=1e-9) -> Trace:
     """Squared L^2 norm of the solution over the time grid."""
-    times = tgrid.times() if isinstance(tgrid, TimeGrid) else np.asarray(tgrid, dtype=float)
-    vals = [l2_value(profile_u0, profile_u1, N, float(t), mode, rel_tol)
-            for t in times]
-    return Trace(times, np.asarray(vals), "l2-squared")
+    return _value_trace(l2_value, "l2-squared", profile_u0, profile_u1, N, tgrid,
+                        mode, rel_tol)
 
 
 def energy_identity_residual(profile_u0, profile_u1, N, t,
@@ -305,7 +312,7 @@ def profile_error_trace(profile_u1, N, tgrid, region="low", rel_tol=1e-9) -> Tra
         raise ValueError("profile error traces need a radial datum")
     if region not in ("low", "high", "all"):
         raise ValueError(f"unknown region {region!r}")
-    times = tgrid.times() if isinstance(tgrid, TimeGrid) else np.asarray(tgrid, dtype=float)
+    times = _times(tgrid)
     lo, hi = {"low": (0.0, 1.0), "high": (1.0, None), "all": (0.0, None)}[region]
     vals = []
     for t in times:
@@ -323,7 +330,7 @@ def profile_error_trace(profile_u1, N, tgrid, region="low", rel_tol=1e-9) -> Tra
 def optimality_trace(N, tgrid, rel_tol=1e-10):
     """Raw and t^{N/2}-normalized traces of the sin^2 comparison integral,
     plus its two-sided window checks and the substitution-oracle agreement."""
-    times = tgrid.times() if isinstance(tgrid, TimeGrid) else np.asarray(tgrid, dtype=float)
+    times = _times(tgrid)
     raw = np.array([quadrature.optimality_integral(N, float(t), rel_tol) for t in times])
     oracle = np.array([quadrature.substitution_oracle(N, float(t), rel_tol) for t in times])
     norm = raw * times ** (N / 2.0)
@@ -397,6 +404,21 @@ def _random_states(rng, n):
             rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
+def _solution_grid(rng, mode, n_radii, n_times, n_states):
+    """Exact solutions from n_states random data on the sweeps' grid.
+
+    Returns (u0, u1, radii, times, state_t), broadcast as (state, radius,
+    time) over radii in [0, 10] and times in [0, 20].
+    """
+    if PropagatorMode(mode) is not PropagatorMode.ODE:
+        raise ValueError("the sweep is defined for the equation-consistent mode")
+    radii = np.linspace(0.0, 10.0, n_radii).reshape(1, -1, 1)
+    times = np.linspace(0.0, 20.0, n_times).reshape(1, 1, -1)
+    su, sv = _random_states(rng, n_states)
+    u0, u1 = su.reshape(-1, 1, 1), sv.reshape(-1, 1, 1)
+    return u0, u1, radii, times, propagate_closed(u0, u1, radii, times, mode)
+
+
 def inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0, n_radii=200, n_times=100,
                      n_states=10, n_algebraic=10_000) -> list:
     """The three pointwise inequality families, plus the algebraic step that
@@ -405,8 +427,6 @@ def inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0, n_radii=200, n_times=
     Returns a list of Check with worst margins; all quantities are evaluated
     along exact solutions on a deterministic (radius, time, state) grid.
     """
-    if PropagatorMode(mode) is not PropagatorMode.ODE:
-        raise ValueError("the sweep is defined for the equation-consistent mode")
     rng = np.random.default_rng(seed)
     tol_eq = 1e-12
     checks = []
@@ -431,12 +451,7 @@ def inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0, n_radii=200, n_times=
         lyap <= tol_eq, -lyap))
 
     # (c) pointwise families along solutions on a deterministic grid
-    radii = np.linspace(0.0, 10.0, n_radii).reshape(1, -1, 1)
-    times = np.linspace(0.0, 20.0, n_times).reshape(1, 1, -1)
-    su, sv = _random_states(rng, n_states)
-    u0 = su.reshape(-1, 1, 1)
-    u1 = sv.reshape(-1, 1, 1)
-    st_t = propagate_closed(u0, u1, radii, times, mode)
+    u0, u1, radii, times, st_t = _solution_grid(rng, mode, n_radii, n_times, n_states)
     e0_t = energy_e0(st_t, radii)
     e0_0 = energy_e0(SpectralState(u0, u1), radii)
     ph = phi(radii)
@@ -471,14 +486,8 @@ def differential_inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0,
     weight is too large for the differential form of the decay inequality,
     even though the integrated envelope holds.
     """
-    if PropagatorMode(mode) is not PropagatorMode.ODE:
-        raise ValueError("the sweep is defined for the equation-consistent mode")
     rng = np.random.default_rng(seed)
-    radii = np.linspace(0.0, 10.0, n_radii).reshape(1, -1, 1)
-    times = np.linspace(0.0, 20.0, n_times).reshape(1, 1, -1)
-    su, sv = _random_states(rng, n_states)
-    st_t = propagate_closed(su.reshape(-1, 1, 1), sv.reshape(-1, 1, 1),
-                            radii, times, mode)
+    _, _, radii, _, st_t = _solution_grid(rng, mode, n_radii, n_times, n_states)
     de_dt = source_r(st_t, radii) - dissipation_f_effective(st_t, radii)
     worst = float(np.max(de_dt + phi(radii) * energy_e(st_t, radii)))
     return Check("differential-decay: dE/dt + phi*E <= 1e-10 along solutions",
@@ -492,7 +501,7 @@ def differential_inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0,
 def run_simulate(p0, p1, N, mode, tgrid, seed=0, rel_tol=1e-9) -> ExperimentReport:
     rep = ExperimentReport(
         name="simulate",
-        parameters={"N": N, "mode": str(PropagatorMode(mode).value), "seed": seed,
+        parameters={"N": N, "mode": PropagatorMode(mode).value, "seed": seed,
                     "u0": p0.label, "u1": p1.label},
     )
     rep.traces.append(energy_trace(p0, p1, N, tgrid, mode, rel_tol))
@@ -540,7 +549,7 @@ def run_simulate(p0, p1, N, mode, tgrid, seed=0, rel_tol=1e-9) -> ExperimentRepo
 def run_decay(p0, p1, N, mode, tgrid, seed=0, rel_tol=1e-9) -> ExperimentReport:
     rep = ExperimentReport(
         name="decay",
-        parameters={"N": N, "mode": str(PropagatorMode(mode).value), "seed": seed,
+        parameters={"N": N, "mode": PropagatorMode(mode).value, "seed": seed,
                     "u0": p0.label, "u1": p1.label},
     )
     e_tr = energy_trace(p0, p1, N, tgrid, mode, rel_tol)
@@ -590,7 +599,7 @@ def run_profile(p1, N, tgrid, seed=0, rel_tol=1e-9) -> ExperimentReport:
     # a zero-mass datum leaves only the carrier-locked term, which vanishes on
     # a periodic time set; sample its envelope at carrier peaks
     if abs(p1.P1) > 0:
-        low_times = tgrid.times() if isinstance(tgrid, TimeGrid) else np.asarray(tgrid)
+        low_times = _times(tgrid)
     else:
         low_times = carrier_peak_times(tgrid.lo, tgrid.hi, tgrid.count, mode)
     low = profile_error_trace(p1, N, low_times, "low", rel_tol)
@@ -688,7 +697,7 @@ def run_optimality(N, tgrid, seed=0) -> ExperimentReport:
 def run_lemmas(N=3, mode=PropagatorMode.ODE, seed=0) -> ExperimentReport:
     rep = ExperimentReport(
         name="lemmas",
-        parameters={"N": N, "mode": str(PropagatorMode(mode).value), "seed": seed},
+        parameters={"N": N, "mode": PropagatorMode(mode).value, "seed": seed},
     )
     rep.checks += inequality_sweep(N=N, mode=mode, seed=seed)
 

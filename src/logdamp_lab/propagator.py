@@ -21,12 +21,21 @@ from enum import Enum
 
 import numpy as np
 
-from .symbols import PI_SQ, SpectralState, log_symbol
+from .symbols import PI_SQ, SpectralState, _unbox, log_symbol
 
 
 class PropagatorMode(str, Enum):
+    """The closed form to use.  ``PropagatorMode(x)`` is the one conversion:
+    it accepts a member, a value ("ode") or a name in any case ("ODE",
+    "Paper"), and raises ValueError for anything else."""
+
     ODE = "ode"
     PAPER = "paper"
+
+    @classmethod
+    def _missing_(cls, value):
+        if isinstance(value, str):
+            return cls.__members__.get(value.upper())
 
 
 class StepLimitExceeded(Exception):
@@ -46,8 +55,7 @@ class OdeConfig:
 
 def carrier_frequency(mode) -> float:
     """Oscillation frequency of the closed form: pi/2 (ode) or pi/4 (paper)."""
-    m = PropagatorMode(str(mode).lower() if not isinstance(mode, PropagatorMode) else mode)
-    return math.pi / 2.0 if m is PropagatorMode.ODE else math.pi / 4.0
+    return math.pi / 2.0 if PropagatorMode(mode) is PropagatorMode.ODE else math.pi / 4.0
 
 
 def propagate_closed(u0, u1, r, t, mode=PropagatorMode.ODE) -> SpectralState:
@@ -71,9 +79,7 @@ def propagate_closed(u0, u1, r, t, mode=PropagatorMode.ODE) -> SpectralState:
     c, s = np.cos(nu * t), np.sin(nu * t)
     u = env * (u0 * c + (u1 + 0.5 * L * u0) * s / nu)
     v = env * (u1 * c - ((0.25 * L * L + nu * nu) / nu * u0 + 0.5 * L / nu * u1) * s)
-    if u.ndim == 0:
-        return SpectralState(complex(u), complex(v))
-    return SpectralState(u, v)
+    return SpectralState(_unbox(u), _unbox(v))
 
 
 def closed_form_defect(u0, u1, r, t, mode=PropagatorMode.ODE):
@@ -90,9 +96,7 @@ def closed_form_defect(u0, u1, r, t, mode=PropagatorMode.ODE):
     c_mode = 0.25 * L * L + nu * nu
     u_acc = -L * np.asarray(st.v_hat) - c_mode * np.asarray(st.u_hat)
     out = u_acc + L * np.asarray(st.v_hat) + 0.25 * (L * L + PI_SQ) * np.asarray(st.u_hat)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return _unbox(out)
 
 
 def _rk4_step(u, v, h, L, c):

@@ -48,18 +48,6 @@ def surface_area(n: int) -> float:
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
 
 
-def _vectorized(f: Callable) -> Callable:
-    """Return f if it maps arrays to same-shaped arrays, else a wrapped version."""
-    probe = np.array([0.37, 0.61])
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-    return lambda x: np.asarray([f(float(v)) for v in np.atleast_1d(x)], dtype=float)
-
-
 def _panel_values(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """Evaluate the G15/G7 pair on a batch of panels.
 
@@ -88,9 +76,13 @@ def integrate(
 ) -> QuadResult:
     """Adaptively integrate f over [a, b].
 
+    f must be vectorised: it is called only with a 1-d float array of
+    abscissae and must return a same-shaped array of real values.
+
     `breakpoints` pre-seeds panel edges (deduplicated, clipped to (a, b));
     use them whenever the integrand oscillates on a known scale.  Raises
-    NonConvergence if the panel budget runs out first.
+    NonConvergence if the panel budget runs out first, or at once when the
+    integrand turns non-finite.
     """
     if not (tol > 0.0) and not (rel_tol > 0.0):
         raise ValueError("need a positive tol or rel_tol")
@@ -99,7 +91,6 @@ def integrate(
     if a == b:
         return QuadResult(0.0, 0.0, 0)
 
-    fv = _vectorized(f)
     edges = [a, b]
     if breakpoints is not None:
         inner = np.asarray(sorted(set(float(x) for x in breakpoints)))
@@ -110,7 +101,7 @@ def integrate(
     lo, hi = edges[:-1], edges[1:]
     if len(lo) > max_panels:
         raise NonConvergence(f"{len(lo)} seed panels exceed budget {max_panels}")
-    vals, errs = _panel_values(fv, lo, hi)
+    vals, errs = _panel_values(f, lo, hi)
     evals = 22 * len(lo)
 
     total = float(vals.sum())
@@ -123,6 +114,8 @@ def integrate(
     n_panels = len(lo)
 
     while True:
+        if not math.isfinite(total_err):
+            raise NonConvergence(f"non-finite integrand on [{a}, {b}]: error {total_err}")
         target = max(tol, rel_tol * abs(total))
         if total_err <= target:
             return QuadResult(total, total_err, evals)
@@ -139,7 +132,7 @@ def integrate(
                 f"panel [{pa}, {pb}] at machine resolution with error {-neg_err:.3e}"
             )
         l2, h2 = np.array([pa, pm]), np.array([pm, pb])
-        v2, e2 = _panel_values(fv, l2, h2)
+        v2, e2 = _panel_values(f, l2, h2)
         evals += 44
         total += float(v2.sum() - pval)
         total_err += float(e2.sum()) - (-neg_err)

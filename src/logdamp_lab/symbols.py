@@ -5,8 +5,7 @@ r = |xi| and the scalar symbol L(r) = log(1 + r^2).  This module collects the
 pure functions built from it:
 
 * the piecewise multipliers rho(r) and phi(r) used by the energy method,
-* the characteristic roots of the per-frequency damped oscillator,
-* the energy densities E0, E, F, R and the pointwise decay-bound margin.
+* the energy densities E0, E, F, R.
 
 All functions accept scalars or numpy arrays (broadcasting) and are stateless.
 """
@@ -38,26 +37,16 @@ class SpectralState:
     v_hat: complex | np.ndarray
 
 
-@dataclass(frozen=True)
-class SymbolValues:
-    L: float
-    rho: float
-    phi: float
-
-
-@dataclass(frozen=True)
-class EnergyDensities:
-    e0: float
-    e: float
-    f: float
-    rsrc: float
+def _unbox(out):
+    """A 0-d result as a Python float or complex; arrays pass through."""
+    return np.asarray(out).item() if np.ndim(out) == 0 else out
 
 
 def log_symbol(r):
     """The scalar symbol L = log(1 + r^2); monotone increasing, L(0) = 0."""
     r = np.asarray(r, dtype=float)
     out = np.log1p(r * r)
-    return float(out) if out.ndim == 0 else out
+    return _unbox(out)
 
 
 def rho(r):
@@ -72,7 +61,7 @@ def rho(r):
     low = r * r <= RHO_SPLIT_RSQ
     L_safe = np.where(low, 1.0, L)  # high branch never sees L = 0
     out = np.where(low, 0.25 * L, (L * L + PI_SQ) / (16.0 * L_safe))
-    return float(out) if out.ndim == 0 else out
+    return _unbox(out)
 
 
 def phi(r):
@@ -83,28 +72,7 @@ def phi(r):
     r = np.asarray(r, dtype=float)
     L = np.log1p(r * r)
     out = np.where(r * r <= PHI_SPLIT_RSQ, (2.0 / 3.0) * L, 8.0 / 9.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def symbol_values(r: float) -> SymbolValues:
-    return SymbolValues(L=log_symbol(r), rho=rho(r), phi=phi(r))
-
-
-def char_roots(r, mode: str = "ode"):
-    """Characteristic roots of the per-frequency oscillator, as a (+, -) pair.
-
-    mode "ode"   : (-L +- i pi) / 2, the exact roots of
-                   lambda^2 + L lambda + (L^2/4 + pi^2/4) = 0.
-    mode "paper" : (1/2)(-L +- i pi/2), the published variant with half the
-                   oscillation frequency.
-    """
-    L = np.asarray(log_symbol(r), dtype=float)
-    width = math.pi if str(mode).lower() == "ode" else math.pi / 2.0
-    lam_p = 0.5 * (-L + 1j * width)
-    lam_m = 0.5 * (-L - 1j * width)
-    if L.ndim == 0:
-        return complex(lam_p), complex(lam_m)
-    return lam_p, lam_m
+    return _unbox(out)
 
 
 def energy_e0(state: SpectralState, r):
@@ -113,7 +81,7 @@ def energy_e0(state: SpectralState, r):
     u2 = np.abs(state.u_hat) ** 2
     v2 = np.abs(state.v_hat) ** 2
     out = 0.5 * v2 + 0.125 * (L * L + PI_SQ) * u2
-    return float(out) if np.ndim(out) == 0 else out
+    return _unbox(out)
 
 
 def energy_e(state: SpectralState, r):
@@ -126,14 +94,14 @@ def energy_e(state: SpectralState, r):
     L = log_symbol(r)
     cross = np.real(state.v_hat * np.conj(state.u_hat))
     out = energy_e0(state, r) + rh * cross + 0.5 * rh * L * np.abs(state.u_hat) ** 2
-    return float(out) if np.ndim(out) == 0 else out
+    return _unbox(out)
 
 
 def dissipation_f(state: SpectralState, r):
     """Dissipation functional F = L |v|^2 + (L^2 + pi^2) |u|^2 / 4."""
     L = log_symbol(r)
     out = L * np.abs(state.v_hat) ** 2 + 0.25 * (L * L + PI_SQ) * np.abs(state.u_hat) ** 2
-    return float(out) if np.ndim(out) == 0 else out
+    return _unbox(out)
 
 
 def dissipation_f_effective(state: SpectralState, r):
@@ -150,30 +118,10 @@ def dissipation_f_effective(state: SpectralState, r):
         L * np.abs(state.v_hat) ** 2
         + 0.25 * rho(r) * (L * L + PI_SQ) * np.abs(state.u_hat) ** 2
     )
-    return float(out) if np.ndim(out) == 0 else out
+    return _unbox(out)
 
 
 def source_r(state: SpectralState, r):
     """Source functional R = rho |v|^2."""
     out = rho(r) * np.abs(state.v_hat) ** 2
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def energy_densities(state: SpectralState, r) -> EnergyDensities:
-    return EnergyDensities(
-        e0=energy_e0(state, r),
-        e=energy_e(state, r),
-        f=dissipation_f(state, r),
-        rsrc=source_r(state, r),
-    )
-
-
-def pointwise_bound_margin(state0: SpectralState, state_t: SpectralState, r, t):
-    """Slack of the pointwise decay estimate 2 E0(t) <= 9 E0(0) e^{-phi t}.
-
-    Returns 9 E0(0) e^{-phi t} - 2 E0(t); nonnegative (up to tolerance) when
-    state_t is the solution at time t launched from state0.
-    """
-    out = 9.0 * energy_e0(state0, r) * np.exp(-phi(r) * np.asarray(t, dtype=float)) \
-        - 2.0 * energy_e0(state_t, r)
-    return float(out) if np.ndim(out) == 0 else out
+    return _unbox(out)

@@ -1,7 +1,10 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logdamp_lab import cli
 from logdamp_lab.experiments import TimeGrid, run_lemmas
@@ -51,6 +54,55 @@ def test_config_file_unknown_key(tmp_path):
     cfg.write_text("[1, 2]")
     with pytest.raises(cli.ConfigInvalid):
         cli.build_config("decay", {"config": str(cfg)})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", "abc"), ("seed", "x"), ("tol", None), ("tol", math.inf),
+    ("n", 3.7), ("n", True), ("t_count", 40.9), ("out", None),
+])
+def test_config_file_values_are_checked_per_field(tmp_path, field, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "out"), field: value}))
+    with pytest.raises(cli.ConfigInvalid, match=f"^{field}: "):
+        cli.build_config("decay", {"config": str(cfg)})
+    res = _invoke(["decay", "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert f"config error: {field}: " in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_config_values_are_accepted(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 4.0, "t_count": 12.0, "mode": "PAPER"}))
+    built = cli.build_config("decay", {"config": str(cfg)})
+    assert (built.N, built.tgrid.count, built.mode) == (4, 12, PropagatorMode.PAPER)
+
+
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                          st.text(max_size=30))
+
+
+@given(key=st.sampled_from(sorted(cli._DEFAULTS)), value=_json_scalars)
+@settings(max_examples=300, deadline=None)
+def test_any_json_scalar_gives_config_or_config_error(tmp_path_factory, key, value):
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.json"
+    cfg.write_text(json.dumps({key: value}))  # NaN and inf as JSON's NaN/Infinity
+    try:
+        built = cli.build_config("decay", {"config": str(cfg)})
+    except cli.ConfigInvalid as exc:
+        # the message names a field (a profile may fail at a legal but huge n)
+        assert str(exc).split(":")[0] in {*cli._DEFAULTS, "time grid"}
+    else:
+        assert isinstance(built, cli.RunConfig)
+
+
+@pytest.mark.parametrize("command", ["lemmas", "all"])
+def test_paper_mode_rejected_up_front_for_sweeps(tmp_path, command):
+    out = tmp_path / "out"
+    res = _invoke([command, "--mode", "paper", "--out", str(out)])
+    assert res.exit_code == 1
+    assert "config error: mode: " in res.output
+    assert not out.exists()
 
 
 def test_lemmas_command_passes(tmp_path):

@@ -118,32 +118,6 @@ def test_hat_bounded_by_l1_random_sweep():
 # the A/B split
 
 
-def test_decompose_radial_has_no_sine_moment():
-    p = cat.make_profile("gaussian", N=3, a=1.0)
-    for r in (0.0, 0.5, 1.0, 2.5):
-        A, B = cat.decompose(p, r)
-        assert B == 0.0
-    A, B = cat.decompose(p, 0.0)
-    assert A == 0.0
-
-
-def test_decompose_gaussian_anchor():
-    p = cat.make_profile("gaussian", N=3, a=1.0)
-    A, B = cat.decompose(p, 1.0)
-    assert abs(A - PI ** 1.5 * (math.exp(-0.25) - 1.0)) < 1e-12
-    assert abs(A - (-1.2317097925007465)) < 1e-12
-
-
-def test_decompose_vector_and_shifted():
-    p = cat.make_profile("shifted_gaussian", N=3, offset=1.0)
-    A, B = cat.decompose(p, np.array([1.0, 0.0, 0.0]))
-    assert B != 0.0
-    with pytest.raises(ValueError):
-        cat.decompose(p, 1.0)  # scalar radius needs a radial profile
-    with pytest.raises(ValueError):
-        cat.decompose(p, np.array([1.0, 0.0]))
-
-
 def test_moment_bounds_with_unit_constants():
     # |A| <= |xi| ||u||_{1,1} and |B| <= |xi| ||u||_{1,1}
     rng = np.random.default_rng(5)
@@ -154,7 +128,8 @@ def test_moment_bounds_with_unit_constants():
         xi = rng.normal(size=(1000, 3))
         xi = xi / np.linalg.norm(xi, axis=1, keepdims=True) * rng.uniform(1e-3, 2.0, (1000, 1))
         for x in xi:
-            A, B = cat.decompose(p, x)
+            h = complex(p.hat(x))  # hat = A - iB + P1
+            A, B = h.real - p.P1, -h.imag
             nx = float(np.linalg.norm(x))
             worst_a = max(worst_a, abs(A) / (nx * p.l11))
             worst_b = max(worst_b, abs(B) / (nx * p.l11))
@@ -179,7 +154,7 @@ def test_profile_terms_trivial_cases():
 
 
 def test_profile_terms_f2_vanishing_radius():
-    # the mean-value bracket pi/4 - sqrt(L) vanishes at L = (pi/4)^2
+    # the phase gap pi/4 - sqrt(L) vanishes at L = (pi/4)^2
     g = cat.make_profile("gaussian", N=3, a=1.0)
     r_star = math.sqrt(math.expm1((PI / 4.0) ** 2))
     terms = cat.profile_terms(g, r_star, 5.0)
@@ -207,19 +182,8 @@ def test_profile_terms_f2_bound():
             assert abs(cat.profile_terms(g, r, t).f2) <= cap + 1e-12
 
 
-def test_profile_terms_mean_value_policy_matches_remainder():
-    g = cat.make_profile("gaussian", N=3, a=1.0)
-    for r in (0.2, 0.7, 1.3):
-        for t in (0.8, 3.7, 9.1):
-            exact = cat.profile_terms(g, r, t, "remainder").f2
-            mv = cat.profile_terms(g, r, t, "mean_value").f2
-            assert abs(exact - mv) < 1e-6 * (1.0 + abs(exact))
-
-
 def test_profile_terms_validation():
     g = cat.make_profile("gaussian", N=3, a=1.0)
-    with pytest.raises(ValueError):
-        cat.profile_terms(g, 0.5, 1.0, "midpoint")
     shifted = cat.make_profile("shifted_gaussian", N=3, offset=0.5)
     with pytest.raises(ValueError):
         cat.profile_terms(shifted, 0.5, 1.0)

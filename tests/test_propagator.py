@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdamp_lab import propagator as prop
+from logdamp_lab.experiments import inequality_sweep
 from logdamp_lab.symbols import energy_e0, log_symbol
 
 PI = math.pi
@@ -35,8 +36,17 @@ def test_oscillator_anchors():
 def test_carrier_frequency():
     assert prop.carrier_frequency("ode") == PI / 2.0
     assert prop.carrier_frequency(prop.PropagatorMode.PAPER) == PI / 4.0
-    with pytest.raises(ValueError):
-        prop.carrier_frequency("fourier")
+    # PropagatorMode(...) is the one normaliser: members and names in any case
+    assert prop.carrier_frequency("ODE") == PI / 2.0
+    assert prop.carrier_frequency("Paper") == PI / 4.0
+    assert prop.carrier_frequency(prop.PropagatorMode.ODE) == PI / 2.0
+    for bad in ("fourier", 3, None):
+        with pytest.raises(ValueError):
+            prop.carrier_frequency(bad)
+    # a name is accepted wherever a mode is
+    checks = inequality_sweep(mode="ODE", n_radii=5, n_times=4, n_states=2,
+                              n_algebraic=10)
+    assert all(c.passed for c in checks)
 
 
 def test_negative_time_rejected():

@@ -27,13 +27,29 @@ def test_gaussian_moment():
 
 
 def test_scalar_only_integrand_is_wrapped():
+    # integrands must be vectorised: a scalar-only one is not wrapped in a
+    # Python loop but fails on the first batch of abscissae
     def f(r):
         if isinstance(r, np.ndarray):
             raise TypeError("scalar only")
         return r * r
 
-    res = q.integrate(f, 0.0, 1.0, tol=1e-10)
-    assert abs(res.value - 1.0 / 3.0) < 1e-10
+    with pytest.raises(TypeError):
+        q.integrate(f, 0.0, 1.0, tol=1e-10)
+
+
+def test_divergent_integrand_fails_fast():
+    # bisection towards the pole overflows the error estimate; that ends the
+    # run at once instead of after the whole panel budget
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with pytest.raises(q.NonConvergence, match=r"non-finite integrand on \[0.0, 1.0\]"):
+            q.integrate(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+def test_nan_integrand_fails_fast():
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(q.NonConvergence, match="non-finite integrand"):
+            q.integrate(lambda x: np.sqrt(x - 0.5), 0.0, 1.0, max_panels=3)
 
 
 def test_empty_and_invalid_intervals():

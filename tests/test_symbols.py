@@ -72,28 +72,6 @@ def test_phi_range(r):
     assert 0.0 <= sym.phi(r) <= 8.0 / 9.0 + 1e-15
 
 
-def test_char_roots_anchors():
-    plus, minus = sym.char_roots(0.0, "ode")
-    assert abs(plus - 1j * PI / 2.0) < 1e-15 and abs(minus + 1j * PI / 2.0) < 1e-15
-    plus, minus = sym.char_roots(0.0, "paper")
-    assert abs(plus - 1j * PI / 4.0) < 1e-15
-    plus, minus = sym.char_roots(1.0, "ode")
-    assert abs(plus - (-math.log(2.0) / 2.0 + 1j * PI / 2.0)) < 1e-15
-
-
-@given(st.floats(min_value=1e-6, max_value=50.0))
-@settings(max_examples=80, deadline=None)
-def test_char_roots_structure(r):
-    plus, minus = sym.char_roots(r, "ode")
-    assert plus.real < 0 and minus.real < 0
-    assert abs(plus - minus.conjugate()) < 1e-14
-    # residual in the characteristic polynomial
-    L = sym.log_symbol(r)
-    for lam in (plus, minus):
-        resid = lam * lam + L * lam + (L * L / 4.0 + PI * PI / 4.0)
-        assert abs(resid) < 1e-12
-
-
 def test_energy_e0_anchors():
     assert sym.energy_e0(_state(0, 0, 1, 0), 1.3) == 0.5
     assert abs(sym.energy_e0(_state(1, 0, 0, 0), 0.0) - PI * PI / 8.0) < 1e-15
@@ -134,13 +112,6 @@ def test_algebraic_decay_step(ur, ui, vr, vi, r):
     val = sym.source_r(state, r) - sym.dissipation_f(state, r) \
         + sym.phi(r) * sym.energy_e(state, r)
     assert val <= 1e-12
-
-
-def test_symbol_values_bundle():
-    sv = sym.symbol_values(1.0)
-    assert sv.L == sym.log_symbol(1.0)
-    assert sv.rho == sym.rho(1.0)
-    assert sv.phi == sym.phi(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +177,6 @@ def test_energy_e0_nonincreasing_along_solutions():
         st_t = propagate_closed(1.0 - 0.3j, 0.2 + 0.9j, r, ts, "ode")
         e0 = sym.energy_e0(st_t, r)
         assert np.all(np.diff(e0) <= 1e-12)
-
-
-def test_pointwise_bound_margin():
-    s0 = _state(1, 0, 0, 0)
-    # t = 0: margin is (9 - 2) E0(0)
-    assert abs(sym.pointwise_bound_margin(s0, s0, 1.0, 0.0)
-               - 7.0 * sym.energy_e0(s0, 1.0)) < 1e-14
-    # r = 0: no dissipation, E0 constant, phi = 0
-    st_t = propagate_closed(1.0, 0.0, 0.0, 7.3, "ode")
-    m = sym.pointwise_bound_margin(s0, sym.SpectralState(st_t.u_hat, st_t.v_hat), 0.0, 7.3)
-    assert abs(m - 7.0 * sym.energy_e0(s0, 0.0)) < 1e-12
-    # generic point stays nonnegative
-    st_t = propagate_closed(1.0, 0.0, 1.0, 10.0, "ode")
-    assert sym.pointwise_bound_margin(s0, st_t, 1.0, 10.0) >= 0.0
 
 
 def test_differential_decay_inequality_fails_at_low_frequency():
