@@ -17,10 +17,11 @@ import click
 
 from .data_catalog import DataProfile, parse_profile
 from .experiments import (
-    ExperimentReport, TimeGrid, run_all, run_decay, run_lemmas, run_optimality,
-    run_profile, run_simulate, write_report,
+    ExperimentReport, InsufficientData, NonPositiveValues, TimeGrid, _slug, run_all,
+    run_decay, run_lemmas, run_optimality, run_profile, run_simulate, write_report,
 )
 from .propagator import PropagatorMode
+from .quadrature import NonConvergence, TailNotBounded
 
 
 class ConfigInvalid(Exception):
@@ -143,7 +144,6 @@ def emit_plot_script(report: ExperimentReport) -> str:
     """
     if not report.traces:
         raise ValueError("report has no traces to plot")
-    from .experiments import _slug  # same slugs as write_report
 
     model_by_label = {f.trace_label: f.model for f in report.fits}
     lines = [
@@ -166,7 +166,7 @@ def emit_plot_script(report: ExperimentReport) -> str:
         "",
     ]
     for tr in report.traces:
-        slug = _slug(tr.label)
+        slug = _slug(tr.label)  # same slugs as write_report
         model = model_by_label.get(tr.label, "power")
         plot_fn = "loglog" if model == "power" else "semilogy"
         lines += [
@@ -212,9 +212,6 @@ def _dispatch(cfg: RunConfig) -> list[ExperimentReport]:
 
 def run(config: RunConfig) -> int:
     """Execute one command, write its artifacts, return the exit status."""
-    from .experiments import InsufficientData, NonPositiveValues
-    from .quadrature import NonConvergence, TailNotBounded
-
     try:
         reports = _dispatch(config)
     except ConfigInvalid:

@@ -224,7 +224,11 @@ def parse_profile(descriptor: str, N: int = 3) -> DataProfile:
                 params[key.strip()] = float(val)
             except ValueError as exc:
                 raise ValueError(f"non-numeric value in {descriptor!r}") from exc
-    return make_profile(kind, N=N, **params)
+    try:
+        return make_profile(kind, N=N, **params)
+    except OverflowError as exc:
+        raise OverflowError(f"{desc} at N={N}: a closed form overflows a float "
+                            f"({exc.args[-1]})") from exc
 
 
 def profile_terms(profile: DataProfile, r: float, t: float) -> ProfileTerms:

@@ -303,17 +303,10 @@ def _gauss_moment_cut(N: int, tol: float) -> float:
 
 
 def a_const(N: int, tol: float = 1e-12) -> float:
-    """A_N = int_0^inf e^{-y^2} y^{N-1} dy, by quadrature (equals Gamma(N/2)/2)."""
-    if N < 3:
-        raise ValueError("requires N >= 3")
-    Y = _gauss_moment_cut(N, tol)
+    """A_N = int_0^inf e^{-y^2} y^{N-1} dy, by quadrature (equals Gamma(N/2)/2).
 
-    def g(y):
-        return np.exp(-y * y) * np.power(y, N - 1)
-
-    res = integrate(g, 0.0, Y, tol=tol, rel_tol=1e-13,
-                    breakpoints=np.linspace(0.0, Y, 16)[1:-1])
-    return res.value
+    The same Gaussian moment as F_N(0), where cos^2 is identically 1."""
+    return f_osc(N, 0.0, tol)
 
 
 def f_osc(N: int, t: float, tol: float = 1e-12) -> float:

@@ -30,6 +30,21 @@ def test_bad_mode_and_bad_profile(tmp_path):
     assert _invoke(["decay", "--tol", "-1", "--out", str(tmp_path)]).exit_code == 1
 
 
+@pytest.mark.parametrize("n, cause", [
+    (700, "u1: gaussian:a=1 at N=700: a closed form overflows a float (math range error)"),
+    (1500, "u1: gaussian:a=1 at N=1500: a closed form overflows a float "
+           "(Numerical result out of range)"),
+    (200, "power fit of trace 'energy' needs positive values: "
+          "17 of 40 samples in its window are <= 0"),
+])
+def test_large_n_refusal_names_its_cause(tmp_path, n, cause):
+    out = tmp_path / "out"
+    res = _invoke(["decay", "--n", str(n), "--out", str(out)])
+    assert res.exit_code == 1
+    assert f"config error: {cause}\n" in res.output
+    assert not out.exists()
+
+
 def test_too_few_samples_for_a_fit_is_config_error(tmp_path):
     res = _invoke(["decay", "--t-count", "4", "--out", str(tmp_path)])
     assert res.exit_code == 1

@@ -155,7 +155,7 @@ def test_fit_rate_errors():
     ts = np.geomspace(1.0, 10.0, 10)
     with pytest.raises(xp.InsufficientData):
         xp.fit_rate(xp.Trace(ts, ts, "x"), "power", window=(1.0, 2.0))
-    with pytest.raises(xp.NonPositiveValues):
+    with pytest.raises(xp.NonPositiveValues, match="trace 'x' .* 7 of 10 samples"):
         xp.fit_rate(xp.Trace(ts, ts - 5.0, "x"), "power")
     with pytest.raises(ValueError):
         xp.fit_rate(xp.Trace(ts, ts, "x"), "cubic")

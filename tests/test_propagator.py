@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdamp_lab import propagator as prop
-from logdamp_lab.experiments import inequality_sweep
+from logdamp_lab.experiments import _random_states, inequality_sweep
 from logdamp_lab.symbols import energy_e0, log_symbol
 
 PI = math.pi
@@ -128,10 +128,24 @@ def test_oracle_grid_matches_closed_form_dense():
     assert worst <= 1e-8
 
 
+@pytest.mark.parametrize("seed, k", [(2, 4), (8, 1)])
+def test_oracle_reaches_output_times_of_simulate_states(seed, k):
+    # these states of the simulate cross-check once stalled just short of an
+    # output time, where capped steps were asked for sub-roundoff error
+    u0s, u1s = _random_states(np.random.default_rng(seed), 5)
+    radii = np.linspace(0.0, 10.0, 21)
+    times = np.array([0.5, 2.0, 5.0, 10.0, 20.0])
+    ou, ov = prop.oracle_grid(u0s[k], u1s[k], radii, times,
+                              prop.OdeConfig(tol=1e-11, max_steps=20_000))
+    st_c = prop.propagate_closed(u0s[k], u1s[k], radii, times.reshape(-1, 1), "ode")
+    scale = np.maximum(np.maximum(np.abs(st_c.u_hat), np.abs(st_c.v_hat)), 1e-300)
+    gap = np.maximum(np.abs(ou - st_c.u_hat), np.abs(ov - st_c.v_hat)) / scale
+    assert float(np.max(gap)) <= 1e-8
+
+
 def test_oracle_step_limit():
     with pytest.raises(prop.StepLimitExceeded):
-        prop.ode_oracle(1.0, 0.0, 5.0, 20.0, prop.OdeConfig(step=1e-6, tol=1e-14,
-                                                            max_steps=50))
+        prop.ode_oracle(1.0, 0.0, 5.0, 20.0, prop.OdeConfig(tol=1e-14, max_steps=50))
 
 
 def test_oracle_grid_validation():
@@ -142,8 +156,6 @@ def test_oracle_grid_validation():
 
 
 def test_ode_config_validation():
-    with pytest.raises(ValueError):
-        prop.OdeConfig(step=0.0)
     with pytest.raises(ValueError):
         prop.OdeConfig(tol=-1e-9)
     with pytest.raises(ValueError):
