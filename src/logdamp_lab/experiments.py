@@ -331,9 +331,15 @@ def optimality_trace(N, tgrid, rel_tol=1e-10):
     """Raw and t^{N/2}-normalized traces of the sin^2 comparison integral,
     plus its two-sided window checks and the substitution-oracle agreement."""
     times = _times(tgrid)
+    with np.errstate(over="ignore"):
+        scale = times ** (N / 2.0)
+    if not np.all(np.isfinite(scale)):
+        t_over = float(times[~np.isfinite(scale)][0])
+        raise ValueError(f"normalized comparison integral at N={N}, t={t_over:g}: "
+                         f"t^(N/2) overflows a float")
     raw = np.array([quadrature.optimality_integral(N, float(t), rel_tol) for t in times])
     oracle = np.array([quadrature.substitution_oracle(N, float(t), rel_tol) for t in times])
-    norm = raw * times ** (N / 2.0)
+    norm = raw * scale
 
     t_raw = Trace(times, raw, "comparison-integral")
     t_norm = Trace(times, norm, "comparison-integral-normalized")

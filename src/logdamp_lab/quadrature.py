@@ -1,11 +1,12 @@
 """Adaptive radial quadrature with certified improper tails.
 
 Everything here integrates real-valued radial functions.  The workhorse is
-:func:`integrate`, an adaptive panel scheme with an embedded Gauss pair
-(G7 inside G15): panels are bisected greedily, worst error first, until the
-summed panel-error estimate meets the tolerance.  On top of it sit the model
-integrals I_p / J_p, the sin^2 comparison integral with its substitution
-oracle, and the Gaussian moments A_N / F_N(t).
+:func:`integrate`, an adaptive panel scheme with a pair of Gauss rules (G7 and
+G15, which share only the node 0, so a panel costs 22 evals): panels are
+bisected greedily, worst error first, until the summed panel-error estimate
+meets the tolerance.  On top of it sit the model integrals I_p / J_p, the
+sin^2 comparison integral with its substitution oracle, and the Gaussian
+moments A_N / F_N(t).
 
 Oscillatory integrands are handled by seeding panel edges at quarter-period
 increments of the known phase, never by letting the bisection discover the
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,8 +39,9 @@ class QuadResult:
     evals: int
 
 
-# Embedded Gauss pair on [-1, 1].  The 15-point value is returned, the
-# 7-point value only feeds the error estimate.
+# Gauss pair on [-1, 1], not embedded: the two rules share only the node 0.
+# The 15-point value is returned, the 7-point value only feeds the error
+# estimate.
 _G7_X, _G7_W = np.polynomial.legendre.leggauss(7)
 _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
 
@@ -231,11 +234,40 @@ def integral_Jp(p: float, t: float, tol: float = 0.0, rel_tol: float = 1e-13) ->
     return res.value
 
 
+def _comparison_tail(N: int, t: float, y: float) -> float:
+    """Bound on the comparison integral's tail beyond R, omega_N left out.
+
+    y = sqrt(log(1+R^2)).  Valid at every R > 0: sin^2 <= 1 and
+    r^{N-2} <= (1+r^2)^{(N-2)/2} leave r (1+r^2)^{-(t-N/2)-1}, whose integral
+    beyond R is (1+R^2)^{-(t-N/2)} / (2(t-N/2)) = e^{-(t-N/2) y^2} / (2(t-N/2)).
+    """
+    decay = t - N / 2.0
+    return math.exp(-decay * y * y) / (2.0 * decay)
+
+
+def _comparison_value(N: int, t: float, integral: float) -> float:
+    """omega_N * integral, refused below the normal float range.
+
+    Called only once the tail test has passed, so `integral` is the full
+    value.  Below that range the relative error target is out of reach, and
+    a zero passes the tail test as 0 <= 0 once the tail bound underflows.
+    """
+    value = surface_area(N) * integral
+    if not value >= sys.float_info.min:
+        raise ValueError(f"comparison integral at N={N}, t={t:g} underflows a float "
+                         f"({value:.3g} < {sys.float_info.min:.3g})")
+    return value
+
+
 def optimality_integral(N: int, t: float, rel_tol: float = 1e-10) -> float:
     """omega_N * int_0^inf (1+r^2)^{-t} sin^2(t sqrt(log(1+r^2))) r^{N-1} dr.
 
-    Panels are pre-seeded at quarter-period phase increments; the far tail is
-    certified by the same majorant as J_p (sin^2 <= 1).
+    Panels are pre-seeded at quarter-period phase increments.  The far tail
+    beyond R is at most (1+R^2)^{-(t-N/2)} / (2(t-N/2)) at every R > 0,
+    because r^{N-2} <= (1+r^2)^{(N-2)/2} and sin^2 <= 1 (see
+    :func:`_comparison_tail`); the cut starts where that bound is e^{-X}, so
+    the panel count grows like sqrt(t).  Raises ValueError when the value
+    underflows a float.
     """
     if N < 3:
         raise ValueError("requires N >= 3")
@@ -247,16 +279,17 @@ def optimality_integral(N: int, t: float, rel_tol: float = 1e-10) -> float:
         return np.exp(-t * L) * np.sin(t * np.sqrt(L)) ** 2 * np.power(r, N - 1)
 
     X = math.log(1.0 / rel_tol) + 40.0
-    r_hi = max(log_radius(min(X / t, 500.0)), 1.0)
+    y_cut = math.sqrt(X / (t - N / 2.0))
     while True:
+        r_hi = log_radius(y_cut * y_cut)
         seeds = np.concatenate([
             quarter_period_radii(t, 0.0, r_hi),
             _geom_fill(r_hi * 1e-8, r_hi),
         ])
         res = integrate(f, 0.0, r_hi, tol=1e-300, rel_tol=rel_tol, breakpoints=seeds)
-        if _tail_majorant_J(N - 1, t, r_hi) <= 0.1 * rel_tol * abs(res.value):
-            return surface_area(N) * res.value
-        r_hi *= 2.0
+        if _comparison_tail(N, t, y_cut) <= 0.1 * rel_tol * abs(res.value):
+            return _comparison_value(N, t, res.value)
+        y_cut *= 1.5
 
 
 def substitution_oracle(N: int, t: float, rel_tol: float = 1e-10) -> float:
@@ -265,6 +298,7 @@ def substitution_oracle(N: int, t: float, rel_tol: float = 1e-10) -> float:
     Change of variables y = sqrt(log(1+r^2)) maps the integral to
     omega_N * int_0^inf y e^{(1-t)y^2} (e^{y^2}-1)^{(N-2)/2} sin^2(t y) dy,
     with a clean exp tail since the integrand is <= y e^{-(t-N/2) y^2}.
+    Raises ValueError when the value underflows a float.
     """
     if N < 3:
         raise ValueError("requires N >= 3")
@@ -287,9 +321,8 @@ def substitution_oracle(N: int, t: float, rel_tol: float = 1e-10) -> float:
         k = np.arange(1, int(4.0 * t * y_cut / math.pi) + 1, dtype=float)
         seeds = np.concatenate([k * math.pi / (4.0 * t), _geom_fill(y_cut * 1e-8, y_cut)])
         res = integrate(g, 0.0, y_cut, tol=1e-300, rel_tol=rel_tol, breakpoints=seeds)
-        tail = math.exp(-decay * y_cut * y_cut) / (2.0 * decay)
-        if tail <= 0.1 * rel_tol * abs(res.value):
-            return surface_area(N) * res.value
+        if _comparison_tail(N, t, y_cut) <= 0.1 * rel_tol * abs(res.value):
+            return _comparison_value(N, t, res.value)
         y_cut *= 1.5
 
 

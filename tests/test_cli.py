@@ -30,16 +30,21 @@ def test_bad_mode_and_bad_profile(tmp_path):
     assert _invoke(["decay", "--tol", "-1", "--out", str(tmp_path)]).exit_code == 1
 
 
-@pytest.mark.parametrize("n, cause", [
-    (700, "u1: gaussian:a=1 at N=700: a closed form overflows a float (math range error)"),
+@pytest.mark.parametrize("n, cause, command", [
+    (700, "u1: gaussian:a=1 at N=700: a closed form overflows a float (math range error)",
+     "decay"),
     (1500, "u1: gaussian:a=1 at N=1500: a closed form overflows a float "
-           "(Numerical result out of range)"),
+           "(Numerical result out of range)", "decay"),
     (200, "power fit of trace 'energy' needs positive values: "
-          "17 of 40 samples in its window are <= 0"),
+          "17 of 40 samples in its window are <= 0", "decay"),
+    # t^100 overflows above 1.8e308^(1/100) = 1209.34; 1266.38 is the first
+    # grid point past it, refused before any quadrature runs
+    (200, "normalized comparison integral at N=200, t=1266.38: t^(N/2) overflows a float",
+     "optimality --t-lo 1e3 --t-hi 1e4"),
 ])
-def test_large_n_refusal_names_its_cause(tmp_path, n, cause):
+def test_large_n_refusal_names_its_cause(tmp_path, n, cause, command):
     out = tmp_path / "out"
-    res = _invoke(["decay", "--n", str(n), "--out", str(out)])
+    res = _invoke([*command.split(), "--n", str(n), "--out", str(out)])
     assert res.exit_code == 1
     assert f"config error: {cause}\n" in res.output
     assert not out.exists()
@@ -126,6 +131,15 @@ def test_lemmas_command_passes(tmp_path):
     report = json.loads((tmp_path / "lemmas" / "report.json").read_text())
     assert report["all_passed"] is True
     assert (tmp_path / "lemmas" / "plot.py").exists()
+
+
+def test_optimality_certifies_up_to_a_million(tmp_path):
+    # the comparison integral's panels grow like sqrt(t), so t = 1e6 stays
+    # within the panel budget
+    res = _invoke(["optimality", "--t-hi", "1e6", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    report = json.loads((tmp_path / "optimality" / "report.json").read_text())
+    assert report["all_passed"] is True
 
 
 def test_decay_command_passes_and_writes_artifacts(tmp_path):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -186,12 +188,40 @@ def test_Ip_bounds_elementary(p, t):
 # the sin^2 comparison integral and the Gaussian moments
 
 
-@pytest.mark.parametrize("N", [3, 4, 5])
-@pytest.mark.parametrize("t", [100.0, 1000.0, 10_000.0])
+@pytest.mark.parametrize("t, N", [
+    *itertools.product([100.0, 1000.0, 10_000.0, 1e5, 1e6], [3, 4, 5]),
+    # just above the t > N/2 + 1 threshold, where the tail decays slowest
+    (2.6, 3), (3.6, 5),
+])
 def test_optimality_matches_substitution_oracle(N, t):
     a = q.optimality_integral(N, t)
     b = q.substitution_oracle(N, t)
     assert abs(a - b) <= 1e-8 * abs(a)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("t", [100.0, 1e4, 1e6])
+def test_optimality_matches_beta_closed_form(N, t):
+    # sin^2 = (1 - cos)/2: the mean half is omega_N B(N/2, t - N/2) / 4, and
+    # for odd N the cosine half is exponentially small; lgamma's own rounding
+    # (about 1e-9 relative at t = 1e6) sets the tolerance
+    log_beta = math.lgamma(N / 2.0) + math.lgamma(t - N / 2.0) - math.lgamma(t)
+    beta_half = q.surface_area(N) * math.exp(log_beta) / 4.0
+    assert abs(q.optimality_integral(N, t) - beta_half) <= 1e-8 * beta_half
+
+
+@pytest.mark.parametrize("t", [3455.11, 3700.0])
+def test_large_n_value_near_the_float_floor(t):
+    # at N = 200 the value omega_N B(N/2, t - N/2) / 4 leaves the normal float
+    # range near t = 3772; just below, both routes still compute it, although
+    # their first cut holds only a sliver of the mass
+    N = 200
+    log_value = (math.log(q.surface_area(N)) + math.lgamma(N / 2.0)
+                 + math.lgamma(t - N / 2.0) - math.lgamma(t) - math.log(4.0))
+    value = math.exp(log_value)
+    assert value >= sys.float_info.min
+    for route in (q.optimality_integral, q.substitution_oracle):
+        assert abs(route(N, t) - value) <= 1e-8 * value
 
 
 def test_optimality_majorant():
@@ -206,6 +236,12 @@ def test_optimality_preconditions():
         q.optimality_integral(2, 100.0)
     with pytest.raises(ValueError):
         q.optimality_integral(3, 2.0)
+    # at N = 200 the value is subnormal at t = 4000 and rounds to 0.0 at
+    # t = 1e4: refused, not returned
+    for route in (q.optimality_integral, q.substitution_oracle):
+        for t, shown in ((4000.0, "4000"), (1e4, "10000")):
+            with pytest.raises(ValueError, match=rf"at N=200, t={shown} underflows a float"):
+                route(200, t)
 
 
 def test_a_const_gamma_values():
