@@ -67,19 +67,20 @@ class ProfileTerms:
     f3: complex
 
 
-def _sphere_mean_abs_shift(r: float, c: float, N: int) -> float:
-    # mean of |y + c e1| over the sphere |y| = r, via the polar-angle integral
+def _sphere_mean_abs_shift(r, c: float, N: int) -> np.ndarray:
+    # mean of |y + c e1| over the sphere |y| = r, at every radius of the 1-d
+    # array r, via one vector polar-angle integral (a component per radius)
     # with the sqrt-endpoint weight smoothed by u = sin(theta)
-    if r == 0.0:
-        return c
+    r = np.asarray(r, dtype=float)
 
     def g(theta):
         s = np.sin(theta)
-        return np.sqrt(r * r + c * c + 2.0 * r * c * s) * np.cos(theta) ** (N - 2)
+        return (np.sqrt(r * r + c * c + 2.0 * r * c * s[:, None])
+                * (np.cos(theta) ** (N - 2))[:, None])
 
     num = quadrature.integrate(g, -math.pi / 2, math.pi / 2, tol=1e-12, rel_tol=1e-11).value
     den = math.sqrt(math.pi) * math.exp(math.lgamma(0.5 * (N - 1)) - math.lgamma(0.5 * N))
-    return num / den
+    return np.where(r == 0.0, c, num / den)
 
 
 def _weighted_radial_norm(u_abs: Callable, N: int, r_hi: float,
@@ -191,9 +192,7 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
             return amp * np.exp(-np.asarray(r, dtype=float) ** 2 / 4.0)
 
         def outer(r):
-            r = np.atleast_1d(np.asarray(r, dtype=float))
-            return np.array([_sphere_mean_abs_shift(float(x), c, N) * math.exp(-x * x)
-                             for x in r]) * np.power(r, N - 1)
+            return _sphere_mean_abs_shift(r, c, N) * np.exp(-r * r) * np.power(r, N - 1)
 
         first_moment = quadrature.surface_area(N) * quadrature.integrate(
             outer, 0.0, 10.0, tol=1e-11, rel_tol=1e-9

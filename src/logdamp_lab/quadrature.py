@@ -4,9 +4,12 @@ Everything here integrates real-valued radial functions.  The workhorse is
 :func:`integrate`, an adaptive panel scheme with a pair of Gauss rules (G7 and
 G15, which share only the node 0, so a panel costs 22 evals): panels are
 bisected greedily, worst error first, until the summed panel-error estimate
-meets the tolerance.  On top of it sit the model integrals I_p / J_p, the
-sin^2 comparison integral with its substitution oracle, and the Gaussian
-moments A_N / F_N(t).
+meets the tolerance.  An integrand may also return m values per abscissa, an
+(n, m) array: all m components then share one panel tree (the rule of
+scipy's quad_vec), each is held to its own target, and a panel is bisected
+while any component misses its target.  On top of it sit the model integrals
+I_p / J_p, the sin^2 comparison integral with its substitution oracle, and
+the Gaussian moments A_N / F_N(t).
 
 Oscillatory integrands are handled by seeding panel edges at quarter-period
 increments of the known phase, never by letting the bisection discover the
@@ -34,8 +37,11 @@ class TailNotBounded(Exception):
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    err_estimate: float
+    """Value and error estimate: floats for a scalar integrand, (m,) arrays for
+    an (n, m) one.  evals counts abscissae, not abscissae times components."""
+
+    value: float | np.ndarray
+    err_estimate: float | np.ndarray
     evals: int
 
 
@@ -51,19 +57,34 @@ def surface_area(n: int) -> float:
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
 
 
+def _at_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f on the (panel, node) abscissae x: (P, k), or (m, P, k) for m components.
+
+    The component layout is contiguous, so each node sum below runs in the
+    same order as for a scalar integrand.
+    """
+    n = x.size
+    y = np.asarray(f(x.ravel()))
+    if y.shape == (n,):
+        return y.reshape(x.shape)
+    if y.ndim == 2 and y.shape[0] == n:
+        return np.ascontiguousarray(y.T).reshape((y.shape[1],) + x.shape)
+    raise ValueError(f"integrand returned shape {y.shape} at {n} abscissae; "
+                     f"expected ({n},) or ({n}, m)")
+
+
 def _panel_values(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """Evaluate the G15/G7 pair on a batch of panels.
 
-    Returns (value15, abs(value15 - value7)) per panel; 22 evals per panel.
+    Returns (value15, abs(value15 - value7)) per panel, each (P,) or, for m
+    components, (m, P); 22 evals per panel.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x15 = mid[:, None] + half[:, None] * _G15_X[None, :]
-    x7 = mid[:, None] + half[:, None] * _G7_X[None, :]
-    f15 = f(x15.ravel()).reshape(x15.shape)
-    f7 = f(x7.ravel()).reshape(x7.shape)
-    v15 = half * (f15 * _G15_W[None, :]).sum(axis=1)
-    v7 = half * (f7 * _G7_W[None, :]).sum(axis=1)
+    f15 = _at_nodes(f, mid[:, None] + half[:, None] * _G15_X[None, :])
+    f7 = _at_nodes(f, mid[:, None] + half[:, None] * _G7_X[None, :])
+    v15 = half * (f15 * _G15_W).sum(axis=-1)
+    v7 = half * (f7 * _G7_W).sum(axis=-1)
     return v15, np.abs(v15 - v7)
 
 
@@ -79,13 +100,21 @@ def integrate(
 ) -> QuadResult:
     """Adaptively integrate f over [a, b].
 
-    f must be vectorised: it is called only with a 1-d float array of
-    abscissae and must return a same-shaped array of real values.
+    f must be vectorised: it is called only with a 1-d float array of n
+    abscissae and must return real values of shape (n,), or (n, m) for m
+    integrands at once.  Each component j is done when its summed error
+    estimate is at most max(tol, rel_tol * |total_j|); the run stops when
+    every component is done.  Until then the panel with the largest
+    err_j / scale_j over j is bisected, scale being the targets of the seed
+    pass (for a scalar integrand that is plain worst-error-first).  A seed
+    pass that already meets every target returns at once.  A scalar f gets
+    float value and error; an (n, m) one gets (m,) arrays.  An empty
+    interval returns 0.0 without calling f.
 
     `breakpoints` pre-seeds panel edges (deduplicated, clipped to (a, b));
     use them whenever the integrand oscillates on a known scale.  Raises
     NonConvergence if the panel budget runs out first, or at once when the
-    integrand turns non-finite.
+    integrand turns non-finite; ValueError when f returns another shape.
     """
     if not (tol > 0.0) and not (rel_tol > 0.0):
         raise ValueError("need a positive tol or rel_tol")
@@ -106,14 +135,13 @@ def integrate(
         raise NonConvergence(f"{len(lo)} seed panels exceed budget {max_panels}")
     vals, errs = _panel_values(f, lo, hi)
     evals = 22 * len(lo)
+    if vals.ndim == 2:
+        return _integrate_components(f, a, b, tol, rel_tol, max_panels,
+                                     lo, hi, vals, errs, evals)
 
     total = float(vals.sum())
     total_err = float(errs.sum())
-    heap: list[tuple[float, int, float, float, float]] = []
-    counter = 0
-    for i in range(len(lo)):
-        heapq.heappush(heap, (-errs[i], counter, lo[i], hi[i], vals[i]))
-        counter += 1
+    heap = None
     n_panels = len(lo)
 
     while True:
@@ -126,6 +154,10 @@ def integrate(
             raise NonConvergence(
                 f"error {total_err:.3e} > target {target:.3e} after {n_panels} panels"
             )
+        if heap is None:
+            heap = [(-errs[i], i, lo[i], hi[i], vals[i]) for i in range(len(lo))]
+            heapq.heapify(heap)
+            counter = len(lo)
         neg_err, _, pa, pb, pval = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
         if pm <= pa or pm >= pb:
@@ -141,6 +173,49 @@ def integrate(
         total_err += float(e2.sum()) - (-neg_err)
         for i in range(2):
             heapq.heappush(heap, (-e2[i], counter, l2[i], h2[i], v2[i]))
+            counter += 1
+        n_panels += 1
+
+
+def _integrate_components(f, a, b, tol, rel_tol, max_panels, lo, hi, vals, errs,
+                          evals) -> QuadResult:
+    """The loop of :func:`integrate` for (m, P) panel values: one panel tree,
+    a target per component, bisection by the largest scaled error."""
+    total, total_err = vals.sum(axis=1), errs.sum(axis=1)
+    scale = np.maximum(np.maximum(tol, rel_tol * np.abs(total)), sys.float_info.min)
+    heap = None
+    n_panels = len(lo)
+
+    while True:
+        if not np.all(np.isfinite(total_err)):
+            raise NonConvergence(f"non-finite integrand on [{a}, {b}]: "
+                                 f"error {total_err[~np.isfinite(total_err)][0]}")
+        target = np.maximum(tol, rel_tol * np.abs(total))
+        if np.all(total_err <= target):
+            return QuadResult(total, total_err, evals)
+        if n_panels + 1 > max_panels:
+            j = int(np.argmax(total_err / target))
+            raise NonConvergence(f"component {j}: error {total_err[j]:.3e} > target "
+                                 f"{target[j]:.3e} after {n_panels} panels")
+        if heap is None:
+            key = (errs / scale[:, None]).max(axis=0)
+            heap = [(-key[i], i, lo[i], hi[i], vals[:, i], errs[:, i])
+                    for i in range(len(lo))]
+            heapq.heapify(heap)
+            counter = len(lo)
+        neg_key, _, pa, pb, pval, perr = heapq.heappop(heap)
+        pm = 0.5 * (pa + pb)
+        if pm <= pa or pm >= pb:
+            raise NonConvergence(f"panel [{pa}, {pb}] at machine resolution with "
+                                 f"scaled error {-neg_key:.3e}")
+        l2, h2 = np.array([pa, pm]), np.array([pm, pb])
+        v2, e2 = _panel_values(f, l2, h2)
+        evals += 44
+        total = total + (v2.sum(axis=1) - pval)
+        total_err = total_err + (e2.sum(axis=1) - perr)
+        key = (e2 / scale[:, None]).max(axis=0)
+        for i in range(2):
+            heapq.heappush(heap, (-key[i], counter, l2[i], h2[i], v2[:, i], e2[:, i]))
             counter += 1
         n_panels += 1
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from logdamp_lab import data_catalog as cat
+from logdamp_lab import quadrature
 from logdamp_lab.propagator import propagate_closed
 
 PI = math.pi
@@ -74,6 +75,40 @@ def test_shifted_gaussian_weighted_norm_against_reference():
     extra, _ = quad(lambda r: sphere_mean(r) * math.exp(-r * r) * r * r, 0.0, 10.0,
                     epsabs=1e-12, limit=200)
     assert abs(p.l11 - (PI ** 1.5 + 4.0 * PI * extra)) < 1e-8
+
+
+def _sphere_mean_per_radius(r, c, N):
+    # one scalar polar-angle integral per radius
+    if r == 0.0:
+        return c
+
+    def g(theta):
+        return np.sqrt(r * r + c * c + 2.0 * r * c * np.sin(theta)) * np.cos(theta) ** (N - 2)
+
+    num = quadrature.integrate(g, -PI / 2, PI / 2, tol=1e-12, rel_tol=1e-11).value
+    return num / (math.sqrt(PI) * math.exp(math.lgamma(0.5 * (N - 1)) - math.lgamma(0.5 * N)))
+
+
+@pytest.mark.parametrize("N, c", [(3, 0.8), (5, 0.25), (4, 1.0)])
+def test_sphere_mean_abs_shift_vector_form(N, c):
+    r = np.concatenate([[0.0], np.linspace(0.05, 3.0, 23)])
+    got = cat._sphere_mean_abs_shift(r, c, N)
+    assert got[0] == c
+    want = np.array([_sphere_mean_per_radius(float(x), c, N) for x in r])
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    if N == 3:
+        closed = ((r[1:] + c) ** 3 - np.abs(r[1:] - c) ** 3) / (6.0 * r[1:] * c)
+        assert np.all(np.abs(got[1:] - closed) <= 1e-11 * closed)
+
+
+@pytest.mark.parametrize("N, c, l11", [
+    # values of the one-integral-per-radius form, integrated to 1e-9 relative
+    (3, 0.25, 11.981602116556019), (3, 0.5, 12.362473878400031),
+    (5, 1.0, 48.737660773265496), (5, 0.0, 43.81236339719648),
+])
+def test_shifted_gaussian_l11_unchanged_by_batching(N, c, l11):
+    p = cat.make_profile("shifted_gaussian", N=N, offset=c)
+    assert abs(p.l11 - l11) <= 1e-9 * l11
 
 
 def test_zero_profile():

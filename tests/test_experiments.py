@@ -6,8 +6,8 @@ import pytest
 
 from logdamp_lab import experiments as xp
 from logdamp_lab.data_catalog import make_profile
-from logdamp_lab.propagator import OdeConfig, PropagatorMode, oracle_grid
-from logdamp_lab.quadrature import surface_area
+from logdamp_lab.propagator import OdeConfig, PropagatorMode, carrier_frequency, oracle_grid
+from logdamp_lab.quadrature import integrate, surface_area
 from logdamp_lab.symbols import PI_SQ
 
 PI = math.pi
@@ -104,6 +104,40 @@ def test_energy_identity_residual_small(zero, gaussian):
     assert xp.energy_identity_residual(zero, gaussian, 3, 2.0) < 1e-6
     with pytest.raises(ValueError):
         xp.energy_identity_residual(zero, gaussian, 3, 0.0)
+
+
+@pytest.mark.parametrize("mode", list(PropagatorMode))
+@pytest.mark.parametrize("u1", ["gaussian", "zero_mean_pair", "shifted_gaussian"])
+def test_traces_equal_per_time_values_bit_for_bit(zero, u1, mode):
+    # one vector integral per trace; no time forces a bisection, so every
+    # sample keeps the bytes of its own scalar integral
+    p1 = make_profile(u1, N=3)
+    times = np.geomspace(100.0, 10_000.0, 12)
+    for trace, value in ((xp.energy_trace, xp.energy_value), (xp.l2_trace, xp.l2_value)):
+        tr = trace(zero, p1, 3, times, mode)
+        per_time = [value(zero, p1, 3, float(t), mode) for t in times]
+        assert tr.values.tolist() == per_time
+
+
+def _residual_per_node(p0, p1, N, t, mode):
+    # the energy identity with one scalar inner integral per outer node
+    e_start = 0.5 * xp.energy_value(p0, p1, N, 0.0, mode)
+    e_end = 0.5 * xp.energy_value(p0, p1, N, t, mode)
+
+    def diss(s):
+        return np.array([xp.dissipation_value(p0, p1, N, float(x), mode) for x in s])
+
+    quarter = 0.25 * PI / carrier_frequency(mode)
+    dissipated = integrate(diss, 0.0, t, tol=1e-300, rel_tol=3e-8,
+                           breakpoints=np.arange(quarter, t, quarter)).value
+    return abs(e_end + dissipated - e_start) / e_start
+
+
+@pytest.mark.parametrize("mode, t", [(PropagatorMode.ODE, 1.0), (PropagatorMode.ODE, 5.0),
+                                     (PropagatorMode.PAPER, 2.0)])
+def test_energy_identity_residual_equals_per_node_loop(zero, gaussian, mode, t):
+    batched = xp.energy_identity_residual(zero, gaussian, 3, t, mode)
+    assert abs(batched - _residual_per_node(zero, gaussian, 3, t, mode)) <= 1e-14
 
 
 def test_mixed_nonradial_data_rejected(gaussian):

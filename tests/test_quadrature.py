@@ -86,6 +86,71 @@ def test_quarter_period_radii_phase_spacing():
     assert np.max(np.abs(phases - k * math.pi / 4.0)) < 1e-8
 
 
+# ---------------------------------------------------------------------------
+# vector-valued integrands: (n, m) values, one panel tree, a target per component
+
+
+def test_vector_components_equal_scalar_calls_without_bisection():
+    ks = np.array([0.5, 1.0, 2.0])
+    seeds = np.geomspace(1e-3, 3.0, 24)
+    kw = dict(tol=1e-300, rel_tol=1e-6, breakpoints=seeds)
+    # a C-ordered (n, m) array: the nodes of one component are not contiguous
+    res = q.integrate(lambda x: np.stack([np.exp(-k * x) * x * x for k in ks], axis=1),
+                      0.0, 3.0, **kw)
+    assert res.evals == 22 * 24  # the seed pass met every target
+    assert res.value.shape == res.err_estimate.shape == (3,)
+    for j, k in enumerate(ks):
+        one = q.integrate(lambda x: np.exp(-k * x) * x * x, 0.0, 3.0, **kw)
+        assert res.value[j] == one.value and res.err_estimate[j] == one.err_estimate
+        assert isinstance(one.value, float) and isinstance(one.err_estimate, float)
+
+
+def test_vector_bisection_driven_by_one_component_meets_every_target():
+    tol, rel_tol = 1e-14, 1e-12
+    res = q.integrate(lambda x: np.stack([x * x, np.sqrt(x), np.cos(x)], axis=1),
+                      0.0, 1.0, tol=tol, rel_tol=rel_tol)
+    assert res.evals > 22  # sqrt's endpoint forces bisection
+    exact = np.array([1.0 / 3.0, 2.0 / 3.0, math.sin(1.0)])
+    target = np.maximum(tol, rel_tol * np.abs(res.value))
+    assert np.all(res.err_estimate <= target)
+    assert np.all(np.abs(res.value - exact) <= 1e-11 * exact)
+
+
+def test_vector_rule_matches_scipy_quad_vec():
+    from scipy.integrate import quad_vec
+
+    w = 40.0
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([np.exp(-x), np.sin(w * x) ** 2 * np.exp(-x),
+                         x * x / (1.0 + x * x)], axis=-1)
+
+    quarter = np.arange(1, int(4.0 * w * 5.0 / math.pi) + 1) * math.pi / (4.0 * w)
+    quarter = quarter[quarter < 5.0]
+    res = q.integrate(f, 0.0, 5.0, tol=1e-300, rel_tol=1e-13, breakpoints=quarter)
+    ref, _ = quad_vec(f, 0.0, 5.0, epsabs=1e-300, epsrel=1e-13, points=quarter,
+                      limit=10_000)
+    assert np.all(np.abs(res.value - ref) <= 1e-10 * np.abs(ref))
+
+
+def test_vector_integrand_of_wrong_shape_is_refused():
+    with pytest.raises(ValueError, match=r"shape \(16,\) at 15 abscissae"):
+        q.integrate(lambda x: np.zeros(len(x) + 1), 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"shape \(15, 2, 2\)"):
+        q.integrate(lambda x: np.zeros((len(x), 2, 2)), 0.0, 1.0)
+
+
+def test_vector_non_finite_component_fails_fast():
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(q.NonConvergence, match=r"non-finite integrand on \[0.0, 1.0\]"):
+            q.integrate(lambda x: np.stack([x, np.sqrt(x - 0.5)], axis=1), 0.0, 1.0,
+                        max_panels=3)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with pytest.raises(q.NonConvergence, match=r"non-finite integrand on \[0.0, 1.0\]"):
+            q.integrate(lambda x: np.stack([x, 1.0 / x], axis=1), 0.0, 1.0)
+
+
 def test_surface_area_known_dimensions():
     assert abs(q.surface_area(3) - 4.0 * math.pi) < 1e-12
     assert abs(q.surface_area(4) - 2.0 * math.pi ** 2) < 1e-11
