@@ -331,9 +331,10 @@ def profile_error_trace(profile_u1, N, tgrid, region="low", rel_tol=1e-9) -> Tra
 # comparison-integral (optimality) trace
 
 
-def optimality_trace(N, tgrid, rel_tol=1e-10):
+def optimality_trace(N, tgrid):
     """Raw and t^{N/2}-normalized traces of the sin^2 comparison integral,
-    plus its two-sided window checks and the substitution-oracle agreement."""
+    plus its two-sided window checks and the substitution-oracle agreement,
+    and the anchors A_N and F_N(t_hi) that its floor check used."""
     times = _times(tgrid)
     with np.errstate(over="ignore"):
         scale = times ** (N / 2.0)
@@ -341,8 +342,8 @@ def optimality_trace(N, tgrid, rel_tol=1e-10):
         t_over = float(times[~np.isfinite(scale)][0])
         raise ValueError(f"normalized comparison integral at N={N}, t={t_over:g}: "
                          f"t^(N/2) overflows a float")
-    raw = np.array([quadrature.optimality_integral(N, float(t), rel_tol) for t in times])
-    oracle = np.array([quadrature.substitution_oracle(N, float(t), rel_tol) for t in times])
+    raw = np.array([quadrature.optimality_integral(N, float(t)) for t in times])
+    oracle = np.array([quadrature.substitution_oracle(N, float(t)) for t in times])
     norm = raw * scale
 
     t_raw = Trace(times, raw, "comparison-integral")
@@ -371,7 +372,7 @@ def optimality_trace(N, tgrid, rel_tol=1e-10):
         Check("sin^2 <= 1 majorant: raw <= omega_N (I_{N-1} + J_{N-1})",
               bool(np.all(raw <= majorant)), float(np.min(majorant - raw))),
     ]
-    return t_raw, t_norm, checks
+    return t_raw, t_norm, checks, (a_n, f_end)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +417,7 @@ def _random_states(rng, n):
             rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def _solution_grid(rng, mode, n_radii, n_times, n_states):
+def _solution_grid(rng, mode, n_radii=200, n_times=100, n_states=10):
     """Exact solutions from n_states random data on the sweeps' grid.
 
     Returns (u0, u1, radii, times, state_t), broadcast as (state, radius,
@@ -488,8 +489,7 @@ def inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0, n_radii=200, n_times=
     return checks
 
 
-def differential_inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0,
-                                  n_radii=200, n_times=100, n_states=10) -> Check:
+def differential_inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0) -> Check:
     """Worst value of dE/dt + phi E along exact solutions.
 
     The derivative is evaluated through the exact budget
@@ -499,7 +499,7 @@ def differential_inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0,
     even though the integrated envelope holds.
     """
     rng = np.random.default_rng(seed)
-    _, _, radii, _, st_t = _solution_grid(rng, mode, n_radii, n_times, n_states)
+    _, _, radii, _, st_t = _solution_grid(rng, mode)
     de_dt = source_r(st_t, radii) - dissipation_f_effective(st_t, radii)
     worst = float(np.max(de_dt + phi(radii) * energy_e(st_t, radii)))
     return Check("differential-decay: dE/dt + phi*E <= 1e-10 along solutions",
@@ -681,7 +681,7 @@ def run_profile(p1, N, tgrid, seed=0, rel_tol=1e-9) -> ExperimentReport:
 
 def run_optimality(N, tgrid, seed=0) -> ExperimentReport:
     rep = ExperimentReport(name="optimality", parameters={"N": N, "seed": seed})
-    t_raw, t_norm, checks = optimality_trace(N, tgrid)
+    t_raw, t_norm, checks, (a_n, f_end) = optimality_trace(N, tgrid)
     rep.traces += [t_raw, t_norm]
     rep.checks += checks
     raw_fit = fit_rate(t_raw, "power")
@@ -690,12 +690,10 @@ def run_optimality(N, tgrid, seed=0) -> ExperimentReport:
     rep.checks.append(Check(
         f"comparison-integral exponent = -{N / 2:.2f} +- 0.05", gap <= 0.05, 0.05 - gap))
 
-    a_n = quadrature.a_const(N)
     gamma_val = 0.5 * math.exp(math.lgamma(N / 2.0))
     a_gap = abs(a_n - gamma_val)
     rep.checks.append(Check("A_N by quadrature matches Gamma(N/2)/2 to 1e-10",
                             a_gap <= 1e-10, 1e-10 - a_gap))
-    f_end = quadrature.f_osc(N, float(t_raw.times[-1]))
     f_gap = abs(f_end - 0.5 * a_n)
     rep.parameters["f_osc_at_t_hi"] = f_end
     rep.checks.append(Check("|F_N(t_hi) - A_N/2| < 5e-3", f_gap < 5e-3, 5e-3 - f_gap))

@@ -51,6 +51,8 @@ class QuadResult:
 _G7_X, _G7_W = np.polynomial.legendre.leggauss(7)
 _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
 
+_CMP_TOL = 1e-10  # relative tolerance of both routes to the comparison integral
+
 
 def surface_area(n: int) -> float:
     """Surface area of the unit sphere in R^n, 2 pi^{n/2} / Gamma(n/2)."""
@@ -135,6 +137,7 @@ def integrate(
         raise NonConvergence(f"{len(lo)} seed panels exceed budget {max_panels}")
     vals, errs = _panel_values(f, lo, hi)
     evals = 22 * len(lo)
+    # scalars keep their own loop: merged, bisection-heavy ones ran 1.4-1.8x slower
     if vals.ndim == 2:
         return _integrate_components(f, a, b, tol, rel_tol, max_panels,
                                      lo, hi, vals, errs, evals)
@@ -250,8 +253,8 @@ def _geom_fill(lo: float, hi: float, per_decade: int = 8) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def integral_Ip(p: float, t: float, tol: float = 0.0, rel_tol: float = 1e-13) -> float:
-    """The model integral over [0, 1]: int_0^1 (1+r^2)^{-t} r^p dr, p > -1.
+def integral_Ip(p: float, t: float) -> float:
+    """The model integral int_0^1 (1+r^2)^{-t} r^p dr, p > -1, to 1e-13 relative.
 
     For -1 < p < 0 the endpoint power is absorbed by r = u^{1/(p+1)}, which
     turns the integrand into something smooth.
@@ -272,8 +275,7 @@ def integral_Ip(p: float, t: float, tol: float = 0.0, rel_tol: float = 1e-13) ->
             return beta * np.exp(-t * np.log1p(r * r))
 
         seeds = _geom_fill(1e-6, 1.0)
-    return integrate(f, 0.0, 1.0, tol=max(tol, 1e-300), rel_tol=rel_tol,
-                     breakpoints=seeds).value
+    return integrate(f, 0.0, 1.0, tol=1e-300, rel_tol=1e-13, breakpoints=seeds).value
 
 
 def _tail_majorant_J(p: float, t: float, r: float) -> float:
@@ -282,8 +284,8 @@ def _tail_majorant_J(p: float, t: float, r: float) -> float:
     return r ** (p + 1.0 - 2.0 * t) / (2.0 * t - p - 1.0)
 
 
-def integral_Jp(p: float, t: float, tol: float = 0.0, rel_tol: float = 1e-13) -> float:
-    """The model integral over [1, inf): int_1^inf (1+r^2)^{-t} r^p dr.
+def integral_Jp(p: float, t: float) -> float:
+    """The model integral int_1^inf (1+r^2)^{-t} r^p dr, to 1e-13 relative.
 
     The improper tail is certified with the r^{-2t} majorant; the split point
     is pushed out until the majorant guarantees less than a tenth of the
@@ -298,13 +300,13 @@ def integral_Jp(p: float, t: float, tol: float = 0.0, rel_tol: float = 1e-13) ->
         return np.exp(-t * np.log1p(r * r)) * np.power(r, p)
 
     rough = integrate(f, 1.0, 4.0, tol=1e-300, rel_tol=1e-6).value
-    budget = max(tol, rel_tol * abs(rough), 1e-280) / 10.0
+    budget = max(1e-13 * abs(rough), 1e-280) / 10.0
     # smallest R with R^{p+1-2t}/(2t-p-1) <= budget
     r_split = (budget * (2.0 * t - p - 1.0)) ** (1.0 / (p + 1.0 - 2.0 * t))
     r_split = min(max(4.0, r_split), 1e12)
     if _tail_majorant_J(p, t, r_split) > 10.0 * budget:
-        raise TailNotBounded(f"cannot certify tol={tol}/rel_tol={rel_tol} at p={p}, t={t}")
-    res = integrate(f, 1.0, r_split, tol=max(tol, 1e-300), rel_tol=rel_tol,
+        raise TailNotBounded(f"cannot certify rel_tol=1e-13 at p={p}, t={t}")
+    res = integrate(f, 1.0, r_split, tol=1e-300, rel_tol=1e-13,
                     breakpoints=_geom_fill(1.0 + 1e-9, r_split))
     return res.value
 
@@ -334,7 +336,7 @@ def _comparison_value(N: int, t: float, integral: float) -> float:
     return value
 
 
-def optimality_integral(N: int, t: float, rel_tol: float = 1e-10) -> float:
+def optimality_integral(N: int, t: float) -> float:
     """omega_N * int_0^inf (1+r^2)^{-t} sin^2(t sqrt(log(1+r^2))) r^{N-1} dr.
 
     Panels are pre-seeded at quarter-period phase increments.  The far tail
@@ -353,7 +355,7 @@ def optimality_integral(N: int, t: float, rel_tol: float = 1e-10) -> float:
         L = np.log1p(r * r)
         return np.exp(-t * L) * np.sin(t * np.sqrt(L)) ** 2 * np.power(r, N - 1)
 
-    X = math.log(1.0 / rel_tol) + 40.0
+    X = math.log(1.0 / _CMP_TOL) + 40.0
     y_cut = math.sqrt(X / (t - N / 2.0))
     while True:
         r_hi = log_radius(y_cut * y_cut)
@@ -361,13 +363,13 @@ def optimality_integral(N: int, t: float, rel_tol: float = 1e-10) -> float:
             quarter_period_radii(t, 0.0, r_hi),
             _geom_fill(r_hi * 1e-8, r_hi),
         ])
-        res = integrate(f, 0.0, r_hi, tol=1e-300, rel_tol=rel_tol, breakpoints=seeds)
-        if _comparison_tail(N, t, y_cut) <= 0.1 * rel_tol * abs(res.value):
+        res = integrate(f, 0.0, r_hi, tol=1e-300, rel_tol=_CMP_TOL, breakpoints=seeds)
+        if _comparison_tail(N, t, y_cut) <= 0.1 * _CMP_TOL * abs(res.value):
             return _comparison_value(N, t, res.value)
         y_cut *= 1.5
 
 
-def substitution_oracle(N: int, t: float, rel_tol: float = 1e-10) -> float:
+def substitution_oracle(N: int, t: float) -> float:
     """Independent route to :func:`optimality_integral`.
 
     Change of variables y = sqrt(log(1+r^2)) maps the integral to
@@ -390,35 +392,35 @@ def substitution_oracle(N: int, t: float, rel_tol: float = 1e-10) -> float:
             * np.sin(t * y) ** 2
         )
 
-    X = math.log(1.0 / rel_tol) + 40.0
+    X = math.log(1.0 / _CMP_TOL) + 40.0
     y_cut = math.sqrt(X / decay)
     while True:
         k = np.arange(1, int(4.0 * t * y_cut / math.pi) + 1, dtype=float)
         seeds = np.concatenate([k * math.pi / (4.0 * t), _geom_fill(y_cut * 1e-8, y_cut)])
-        res = integrate(g, 0.0, y_cut, tol=1e-300, rel_tol=rel_tol, breakpoints=seeds)
-        if _comparison_tail(N, t, y_cut) <= 0.1 * rel_tol * abs(res.value):
+        res = integrate(g, 0.0, y_cut, tol=1e-300, rel_tol=_CMP_TOL, breakpoints=seeds)
+        if _comparison_tail(N, t, y_cut) <= 0.1 * _CMP_TOL * abs(res.value):
             return _comparison_value(N, t, res.value)
         y_cut *= 1.5
 
 
-def _gauss_moment_cut(N: int, tol: float) -> float:
+def _gauss_moment_cut(N: int) -> float:
     # smallest Y in a short ladder with tail int_Y^inf y^{N-1} e^{-y^2} dy
-    # <= Y^{N-2} e^{-Y^2} <= tol/10 (valid once Y^2 >= N-1)
+    # <= Y^{N-2} e^{-Y^2} <= 1e-13, a tenth of f_osc's tol (valid once Y^2 >= N-1)
     for Y in (6.0, 7.0, 8.0, 9.0, 10.0, 12.0):
-        if Y * Y >= N - 1 and Y ** max(N - 2, 0) * math.exp(-Y * Y) <= tol / 10.0:
+        if Y * Y >= N - 1 and Y ** max(N - 2, 0) * math.exp(-Y * Y) <= 1e-12 / 10.0:
             return Y
     return 14.0
 
 
-def a_const(N: int, tol: float = 1e-12) -> float:
+def a_const(N: int) -> float:
     """A_N = int_0^inf e^{-y^2} y^{N-1} dy, by quadrature (equals Gamma(N/2)/2).
 
     The same Gaussian moment as F_N(0), where cos^2 is identically 1."""
-    return f_osc(N, 0.0, tol)
+    return f_osc(N, 0.0)
 
 
-def f_osc(N: int, t: float, tol: float = 1e-12) -> float:
-    """F_N(t) = int_0^inf e^{-y^2} cos^2(sqrt(t) y) y^{N-1} dy.
+def f_osc(N: int, t: float) -> float:
+    """F_N(t) = int_0^inf e^{-y^2} cos^2(sqrt(t) y) y^{N-1} dy, to 1e-12 absolute.
 
     Tends to A_N / 2: the mean of cos^2 survives, the oscillatory half washes
     out.  Panels are kept below a quarter period of cos(sqrt(t) y).
@@ -427,7 +429,7 @@ def f_osc(N: int, t: float, tol: float = 1e-12) -> float:
         raise ValueError("requires N >= 3")
     if t < 0:
         raise ValueError("requires t >= 0")
-    Y = _gauss_moment_cut(N, tol)
+    Y = _gauss_moment_cut(N)
 
     w = math.sqrt(t)
 
@@ -438,5 +440,5 @@ def f_osc(N: int, t: float, tol: float = 1e-12) -> float:
     if w > 0:
         k = np.arange(1, int(4.0 * w * Y / math.pi) + 1, dtype=float)
         seeds = np.concatenate([seeds, k * math.pi / (4.0 * w)])
-    res = integrate(g, 0.0, Y, tol=tol, rel_tol=1e-13, breakpoints=seeds)
+    res = integrate(g, 0.0, Y, tol=1e-12, rel_tol=1e-13, breakpoints=seeds)
     return res.value

@@ -116,6 +116,29 @@ def test_any_json_scalar_gives_config_or_config_error(tmp_path_factory, key, val
         assert isinstance(built, cli.RunConfig)
 
 
+_plausible = st.sampled_from([
+    "3", "4.0", "2", "-1", "1e4", "nan", "ode", "paper", "PAPER", "fourier", "log",
+    "linear", "zero", "gaussian:a=1", "gaussian:a=-1", "gaussian:a", "zero_mean_pair",
+    "shifted_gaussian:offset=0.5", "shifted_gaussian:offset=x", "bogus", "", "out",
+])
+
+
+@given(settings_=st.dictionaries(st.sampled_from(sorted(cli._DEFAULTS)),
+                                 st.one_of(_json_scalars, _plausible),
+                                 min_size=2, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_key_combinations_give_config_or_config_error(tmp_path_factory, settings_):
+    cfg = tmp_path_factory.getbasetemp() / "fuzz-combination.json"
+    cfg.write_text(json.dumps(settings_))
+    for command in cli.main.commands:
+        try:
+            built = cli.build_config(command, {"config": str(cfg)})
+        except cli.ConfigInvalid as exc:
+            assert str(exc).split(":")[0] in {*cli._DEFAULTS, "time grid"}
+        else:
+            assert isinstance(built, cli.RunConfig)
+
+
 @pytest.mark.parametrize("command", ["lemmas", "all"])
 def test_paper_mode_rejected_up_front_for_sweeps(tmp_path, command):
     out = tmp_path / "out"

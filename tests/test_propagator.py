@@ -143,9 +143,39 @@ def test_oracle_reaches_output_times_of_simulate_states(seed, k):
     assert float(np.max(gap)) <= 1e-8
 
 
+def test_oracle_below_machine_epsilon_on_the_simulate_batch():
+    # below machine epsilon the remainder test still ends, as the terms fall
+    # like 1/k!; the step count does not depend on tol
+    u0s, u1s = (x.reshape(-1, 1) for x in _random_states(np.random.default_rng(0), 5))
+    radii = np.linspace(0.0, 10.0, 21)
+    times = np.array([0.5, 2.0, 5.0, 10.0, 20.0])
+    ou, ov = prop.oracle_grid(u0s, u1s, radii, times,
+                              prop.OdeConfig(tol=1e-16, max_steps=20_000))
+    st_c = prop.propagate_closed(u0s, u1s, radii, times.reshape(-1, 1, 1), "ode")
+    scale = np.maximum(np.abs(st_c.u_hat), np.abs(st_c.v_hat))
+    gap = np.maximum(np.abs(ou - st_c.u_hat), np.abs(ov - st_c.v_hat)) / scale
+    assert float(np.max(gap)) <= 1e-12
+
+
 def test_oracle_step_limit():
+    # t = 20 at r = 5 takes 42 steps of 4 / (c + L)
     with pytest.raises(prop.StepLimitExceeded):
-        prop.ode_oracle(1.0, 0.0, 5.0, 20.0, prop.OdeConfig(tol=1e-14, max_steps=50))
+        prop.ode_oracle(1.0, 0.0, 5.0, 20.0, prop.OdeConfig(tol=1e-14, max_steps=40))
+
+
+@pytest.mark.parametrize("u0, u1, r", [
+    (math.nan, 0.0, 1.0), (1.0, complex(0.0, math.inf), 1.0), (1.0, 0.0, math.nan),
+    (1.0, 0.0, math.inf),
+])
+def test_oracle_refuses_non_finite_input(u0, u1, r):
+    # a NaN never meets the remainder bound, so it is refused before any step
+    with pytest.raises(ValueError, match="finite"):
+        prop.oracle_grid(u0, u1, r, np.array([1.0]))
+
+
+def test_oracle_refuses_an_overflowing_term():
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+        prop.ode_oracle(1e308, 0.0, 10.0, 1.0)
 
 
 def test_oracle_grid_validation():
