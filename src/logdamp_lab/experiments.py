@@ -393,6 +393,10 @@ def fit_rate(trace: Trace, model: str = "power", window=None) -> DecayFit:
     ts, vs = trace.times[mask], trace.values[mask]
     if len(ts) < 8:
         raise InsufficientData(f"{len(ts)} samples in window, need >= 8")
+    bad = np.count_nonzero(ts <= 0) if model == "power" else 0
+    if bad:
+        raise NonPositiveValues(f"power fit of trace {trace.label!r} needs positive times: "
+                                f"{bad} of {len(ts)} samples in its window are at t <= 0")
     bad = np.count_nonzero(vs <= 0)
     if bad:
         raise NonPositiveValues(f"{model} fit of trace {trace.label!r} needs positive "

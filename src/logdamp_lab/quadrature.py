@@ -9,7 +9,9 @@ meets the tolerance.  An integrand may also return m values per abscissa, an
 scipy's quad_vec), each is held to its own target, and a panel is bisected
 while any component misses its target.  On top of it sit the model integrals
 I_p / J_p, the sin^2 comparison integral with its substitution oracle, and
-the Gaussian moments A_N / F_N(t).
+the Gaussian moments A_N / F_N(t).  One loop, :func:`_tail_cut`, cuts the
+improper tails of J_p and of both comparison routes: it certifies a cut with
+the bound (1+R^2)^{-(t-N/2)} / (2(t-N/2)) or refuses with TailNotBounded.
 
 Oscillatory integrands are handled by seeding panel edges at quarter-period
 increments of the known phase, never by letting the bisection discover the
@@ -278,18 +280,49 @@ def integral_Ip(p: float, t: float) -> float:
     return integrate(f, 0.0, 1.0, tol=1e-300, rel_tol=1e-13, breakpoints=seeds).value
 
 
-def _tail_majorant_J(p: float, t: float, r: float) -> float:
-    # (1+s^2)^{-t} <= s^{-2t} for s >= 1, so the tail beyond r is at most
-    # r^{p+1-2t} / (2t - p - 1).
-    return r ** (p + 1.0 - 2.0 * t) / (2.0 * t - p - 1.0)
+def _comparison_value(N: int, t: float, integral: float) -> float:
+    """omega_N * integral, refused below the normal float range: there the
+    relative target is out of reach, and a zero passes the tail test of
+    :func:`_tail_cut` as 0 <= 0 once the bound underflows."""
+    value = surface_area(N) * integral
+    if not value >= sys.float_info.min:
+        raise ValueError(f"comparison integral at N={N}, t={t:g} underflows a float "
+                         f"({value:.3g} < {sys.float_info.min:.3g})")
+    return value
+
+
+def _tail_cut(name: str, N: float, t: float, rel_tol: float, head: Callable,
+              r_lo: float = 0.0, factor: float = 1.0) -> float:
+    """An integral from r_lo to infinity: the one cut loop of this module.
+
+    head(y, R) integrates from r_lo to R = log_radius(y^2) to relative
+    rel_tol; the tail beyond R must be at most factor e^{-(t-N/2) y^2} /
+    (2(t-N/2)), which factor 1 gives for |f| <= (1+r^2)^{-t} r^{N-1}, N >= 2
+    (as r^{N-2} <= (1+r^2)^{(N-2)/2}).  The first cut is where that bound has
+    fallen by e^{-X}, X = log(1/rel_tol) + 40, from its value at r_lo; y grows
+    by 1.5 per pass until the bound is at most 0.1 rel_tol |value|.  Raises
+    TailNotBounded, naming the integral and t, once R leaves the float range.
+    """
+    decay = t - N / 2.0
+    y = math.sqrt(math.log1p(r_lo * r_lo) + (math.log(1.0 / rel_tol) + 40.0) / decay)
+    while True:
+        try:
+            r_hi = log_radius(y * y)
+        except OverflowError:
+            raise TailNotBounded(f"{name} at t={t:g}: the tail cut log(1+R^2) = "
+                                 f"{y * y:.4g} leaves the float range") from None
+        value = head(y, r_hi)
+        if factor * math.exp(-decay * y * y) / (2.0 * decay) <= 0.1 * rel_tol * abs(value):
+            return value
+        y *= 1.5
 
 
 def integral_Jp(p: float, t: float) -> float:
     """The model integral int_1^inf (1+r^2)^{-t} r^p dr, to 1e-13 relative.
 
-    The improper tail is certified with the r^{-2t} majorant; the split point
-    is pushed out until the majorant guarantees less than a tenth of the
-    error budget.  Raises TailNotBounded when 2t - p - 1 <= 0.
+    Cut by :func:`_tail_cut` at N = p + 1, times 2^{(1-p)/2} for p < 1 since
+    r^2 >= (1+r^2)/2 on r >= 1.  Raises TailNotBounded when 2t <= p + 1 or
+    when the cut leaves the float range.
     """
     if p <= -1:
         raise ValueError("requires p > -1")
@@ -299,52 +332,20 @@ def integral_Jp(p: float, t: float) -> float:
     def f(r):
         return np.exp(-t * np.log1p(r * r)) * np.power(r, p)
 
-    rough = integrate(f, 1.0, 4.0, tol=1e-300, rel_tol=1e-6).value
-    budget = max(1e-13 * abs(rough), 1e-280) / 10.0
-    # smallest R with R^{p+1-2t}/(2t-p-1) <= budget
-    r_split = (budget * (2.0 * t - p - 1.0)) ** (1.0 / (p + 1.0 - 2.0 * t))
-    r_split = min(max(4.0, r_split), 1e12)
-    if _tail_majorant_J(p, t, r_split) > 10.0 * budget:
-        raise TailNotBounded(f"cannot certify rel_tol=1e-13 at p={p}, t={t}")
-    res = integrate(f, 1.0, r_split, tol=1e-300, rel_tol=1e-13,
-                    breakpoints=_geom_fill(1.0 + 1e-9, r_split))
-    return res.value
+    def head(y, r_hi):
+        return integrate(f, 1.0, r_hi, tol=1e-300, rel_tol=1e-13,
+                         breakpoints=_geom_fill(1.0 + 1e-9, r_hi)).value
 
-
-def _comparison_tail(N: int, t: float, y: float) -> float:
-    """Bound on the comparison integral's tail beyond R, omega_N left out.
-
-    y = sqrt(log(1+R^2)).  Valid at every R > 0: sin^2 <= 1 and
-    r^{N-2} <= (1+r^2)^{(N-2)/2} leave r (1+r^2)^{-(t-N/2)-1}, whose integral
-    beyond R is (1+R^2)^{-(t-N/2)} / (2(t-N/2)) = e^{-(t-N/2) y^2} / (2(t-N/2)).
-    """
-    decay = t - N / 2.0
-    return math.exp(-decay * y * y) / (2.0 * decay)
-
-
-def _comparison_value(N: int, t: float, integral: float) -> float:
-    """omega_N * integral, refused below the normal float range.
-
-    Called only once the tail test has passed, so `integral` is the full
-    value.  Below that range the relative error target is out of reach, and
-    a zero passes the tail test as 0 <= 0 once the tail bound underflows.
-    """
-    value = surface_area(N) * integral
-    if not value >= sys.float_info.min:
-        raise ValueError(f"comparison integral at N={N}, t={t:g} underflows a float "
-                         f"({value:.3g} < {sys.float_info.min:.3g})")
-    return value
+    factor = 2.0 ** (0.5 * (1.0 - p)) if p < 1.0 else 1.0
+    return _tail_cut(f"J_{p:g}", p + 1.0, t, 1e-13, head, r_lo=1.0, factor=factor)
 
 
 def optimality_integral(N: int, t: float) -> float:
     """omega_N * int_0^inf (1+r^2)^{-t} sin^2(t sqrt(log(1+r^2))) r^{N-1} dr.
 
-    Panels are pre-seeded at quarter-period phase increments.  The far tail
-    beyond R is at most (1+R^2)^{-(t-N/2)} / (2(t-N/2)) at every R > 0,
-    because r^{N-2} <= (1+r^2)^{(N-2)/2} and sin^2 <= 1 (see
-    :func:`_comparison_tail`); the cut starts where that bound is e^{-X}, so
-    the panel count grows like sqrt(t).  Raises ValueError when the value
-    underflows a float.
+    Panels are pre-seeded at quarter-period phase increments; with
+    sin^2 <= 1 the tail is cut by :func:`_tail_cut`, so the panel count grows
+    like sqrt(t).  Raises ValueError when the value underflows a float.
     """
     if N < 3:
         raise ValueError("requires N >= 3")
@@ -355,18 +356,14 @@ def optimality_integral(N: int, t: float) -> float:
         L = np.log1p(r * r)
         return np.exp(-t * L) * np.sin(t * np.sqrt(L)) ** 2 * np.power(r, N - 1)
 
-    X = math.log(1.0 / _CMP_TOL) + 40.0
-    y_cut = math.sqrt(X / (t - N / 2.0))
-    while True:
-        r_hi = log_radius(y_cut * y_cut)
-        seeds = np.concatenate([
-            quarter_period_radii(t, 0.0, r_hi),
-            _geom_fill(r_hi * 1e-8, r_hi),
-        ])
-        res = integrate(f, 0.0, r_hi, tol=1e-300, rel_tol=_CMP_TOL, breakpoints=seeds)
-        if _comparison_tail(N, t, y_cut) <= 0.1 * _CMP_TOL * abs(res.value):
-            return _comparison_value(N, t, res.value)
-        y_cut *= 1.5
+    def head(y, r_hi):
+        seeds = np.concatenate([quarter_period_radii(t, 0.0, r_hi),
+                                _geom_fill(r_hi * 1e-8, r_hi)])
+        return integrate(f, 0.0, r_hi, tol=1e-300, rel_tol=_CMP_TOL,
+                         breakpoints=seeds).value
+
+    integral = _tail_cut(f"comparison integral (N={N})", N, t, _CMP_TOL, head)
+    return _comparison_value(N, t, integral)
 
 
 def substitution_oracle(N: int, t: float) -> float:
@@ -374,17 +371,15 @@ def substitution_oracle(N: int, t: float) -> float:
 
     Change of variables y = sqrt(log(1+r^2)) maps the integral to
     omega_N * int_0^inf y e^{(1-t)y^2} (e^{y^2}-1)^{(N-2)/2} sin^2(t y) dy,
-    with a clean exp tail since the integrand is <= y e^{-(t-N/2) y^2}.
-    Raises ValueError when the value underflows a float.
+    cut at the same y by :func:`_tail_cut`.  Raises ValueError when the value
+    underflows a float.
     """
     if N < 3:
         raise ValueError("requires N >= 3")
-    decay = t - N / 2.0
-    if decay <= 1.0:
+    if t - N / 2.0 <= 1.0:
         raise ValueError(f"requires t > N/2 + 1 (got t={t})")
 
     def g(y):
-        y = np.asarray(y, dtype=float)
         return (
             y
             * np.exp((1.0 - t) * y * y)
@@ -392,15 +387,14 @@ def substitution_oracle(N: int, t: float) -> float:
             * np.sin(t * y) ** 2
         )
 
-    X = math.log(1.0 / _CMP_TOL) + 40.0
-    y_cut = math.sqrt(X / decay)
-    while True:
+    def head(y_cut, r_hi):
         k = np.arange(1, int(4.0 * t * y_cut / math.pi) + 1, dtype=float)
         seeds = np.concatenate([k * math.pi / (4.0 * t), _geom_fill(y_cut * 1e-8, y_cut)])
-        res = integrate(g, 0.0, y_cut, tol=1e-300, rel_tol=_CMP_TOL, breakpoints=seeds)
-        if _comparison_tail(N, t, y_cut) <= 0.1 * _CMP_TOL * abs(res.value):
-            return _comparison_value(N, t, res.value)
-        y_cut *= 1.5
+        return integrate(g, 0.0, y_cut, tol=1e-300, rel_tol=_CMP_TOL,
+                         breakpoints=seeds).value
+
+    integral = _tail_cut(f"substitution oracle (N={N})", N, t, _CMP_TOL, head)
+    return _comparison_value(N, t, integral)
 
 
 def _gauss_moment_cut(N: int) -> float:

@@ -25,9 +25,6 @@ PI_SQ = math.pi ** 2
 RHO_SPLIT_RSQ = math.expm1(math.pi / math.sqrt(3.0))
 PHI_SPLIT_RSQ = math.expm1(4.0 / 3.0)
 
-#: Peak value of rho, attained at the rho branch point.
-RHO_MAX = math.pi / (4.0 * math.sqrt(3.0))
-
 
 @dataclass(frozen=True)
 class SpectralState:
@@ -43,9 +40,13 @@ def _unbox(out):
 
 
 def log_symbol(r):
-    """The scalar symbol L = log(1 + r^2); monotone increasing, L(0) = 0."""
+    """The scalar symbol L = log(1 + r^2); monotone increasing, L(0) = 0.
+    Where r*r overflows (|r| > 1.3e154) it is 2 log|r|, exact to rounding."""
     r = np.asarray(r, dtype=float)
-    out = np.log1p(r * r)
+    with np.errstate(over="ignore"):
+        out = np.log1p(r * r)
+    if np.isinf(out).any():
+        out = np.where(np.isinf(out), 2.0 * np.log(np.maximum(np.abs(r), 1.0)), out)
     return _unbox(out)
 
 

@@ -50,6 +50,18 @@ def test_large_n_refusal_names_its_cause(tmp_path, n, cause, command):
     assert not out.exists()
 
 
+def test_power_fit_over_t_zero_is_config_error(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"t_spacing": "linear", "t_lo": 0, "t_hi": 100,
+                               "t_count": 20}))
+    out = tmp_path / "out"
+    res = _invoke(["decay", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.output == ("config error: power fit of trace 'energy' needs positive "
+                          "times: 1 of 20 samples in its window are at t <= 0\n")
+    assert not out.exists()
+
+
 def test_too_few_samples_for_a_fit_is_config_error(tmp_path):
     res = _invoke(["decay", "--t-count", "4", "--out", str(tmp_path)])
     assert res.exit_code == 1

@@ -241,6 +241,32 @@ def test_Jp_tail_not_certifiable():
         q.integral_Jp(1.0, 0.9)
 
 
+@pytest.mark.parametrize("p", [-0.5, 0.5, 1.0, 2.0, 4.0])
+def test_Ip_plus_Jp_equals_half_beta(p):
+    # int_0^inf (1+r^2)^{-t} r^p dr = B((p+1)/2, t-(p+1)/2)/2, from t just
+    # above the threshold (p+1)/2 (tail ~ r^-2) to t = 1e4; mpmath gives the
+    # Beta function without lgamma's cancellation at large t
+    import mpmath
+
+    a = (p + 1.0) / 2.0
+    for t in (a + 0.5, a + 1.0, 5.0, 30.0, 100.0, 1e3, 1e4):
+        with mpmath.workdps(30):
+            ex = float(mpmath.beta(a, t - a) / 2)
+        assert abs(q.integral_Ip(p, t) + q.integral_Jp(p, t) - ex) <= 1e-12 * ex
+
+
+def test_Jp_slow_tail_anchors():
+    # decay t - (p+1)/2 = 1/2: the tail falls only like r^-2
+    for p, t, exact in ((2.0, 2.0, math.pi / 8.0 + 0.25), (1.0, 1.5, 2.0 ** -0.5)):
+        assert abs(q.integral_Jp(p, t) - exact) <= 1e-13 * exact
+
+
+def test_Jp_refuses_a_cut_beyond_the_float_range():
+    # decay 0.02: the first cut needs log(1+R^2) ~ 3500
+    with pytest.raises(q.TailNotBounded, match=r"J_1 at t=1\.02: .* leaves the float range"):
+        q.integral_Jp(1.0, 1.02)
+
+
 @given(st.floats(min_value=-0.5, max_value=4.0), st.floats(min_value=2.0, max_value=50.0))
 @settings(max_examples=25, deadline=None)
 def test_Ip_bounds_elementary(p, t):

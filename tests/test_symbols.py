@@ -25,6 +25,28 @@ def test_log_symbol_anchors():
     assert abs(sym.log_symbol(r) - 4.0 / 3.0) < 1e-13
 
 
+def test_log_symbol_past_the_square_overflow():
+    # r*r overflows above about 1.3e154; L = 2 log r there, and every value
+    # below keeps the bits of log1p(r*r)
+    r = np.array([0.0, 1e-200, 1.0, 1e100, 1.3e154, 1e200, -1e200, 1e308])
+    with np.errstate(over="ignore"):
+        plain = np.log1p(r * r)
+    L = sym.log_symbol(r)
+    finite = np.isfinite(plain)
+    assert np.array_equal(L[finite], plain[finite])
+    assert np.array_equal(L[~finite], 2.0 * np.log(np.abs(r[~finite])))
+    assert sym.log_symbol(1e200) == 2.0 * math.log(1e200)
+    assert sym.log_symbol(np.inf) == np.inf
+
+
+def test_propagate_closed_at_a_huge_radius():
+    st0 = propagate_closed(1.0, 0.0, 1e200, 0.0)
+    assert (st0.u_hat, st0.v_hat) == (1.0, 0.0)
+    st1 = propagate_closed(1.0, 0.0, 1e200, 1.0)
+    assert np.isfinite(st1.u_hat) and np.isfinite(st1.v_hat)
+    assert 0.0 < abs(st1.u_hat) < 1e-190
+
+
 @given(st.floats(min_value=0.0, max_value=1e3), st.floats(min_value=1e-6, max_value=10.0))
 @settings(max_examples=60, deadline=None)
 def test_log_symbol_monotone(r, dr):
