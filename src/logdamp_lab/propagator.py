@@ -67,15 +67,17 @@ def propagate_closed(u0, u1, r, t, mode=PropagatorMode.ODE) -> SpectralState:
     with nu = pi/2 ("ode") or pi/4 ("paper"; the sin coefficient then equals
     the familiar (2L/pi) u0 + (4/pi) u1 form).  The derivative is the exact
     analytic one, so the returned pair solves the mode's own equation with no
-    discretisation error.  Broadcasts over r and t.
+    discretisation error.  Broadcasts over r and t.  Real data give a real
+    state, complex data a complex one.
     """
     nu = carrier_frequency(mode)
     L = np.asarray(log_symbol(r), dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("requires t >= 0")
-    u0 = np.asarray(u0, dtype=complex)
-    u1 = np.asarray(u1, dtype=complex)
+    dtype = np.result_type(u0, u1, float)
+    u0 = np.asarray(u0, dtype=dtype)
+    u1 = np.asarray(u1, dtype=dtype)
 
     env = np.exp(-0.5 * L * t)
     c, s = np.cos(nu * t), np.sin(nu * t)

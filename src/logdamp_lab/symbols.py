@@ -50,6 +50,12 @@ def log_symbol(r):
     return _unbox(out)
 
 
+def _r_squared_at_most(r, threshold):
+    """r*r <= threshold; an r*r that overflows to inf is correctly above it."""
+    with np.errstate(over="ignore"):
+        return r * r <= threshold
+
+
 def rho(r):
     """Piecewise cross-term weight: L/4 up to L = pi/sqrt(3), then
     (L^2 + pi^2) / (16 L).
@@ -58,8 +64,8 @@ def rho(r):
     rho(r)^2 <= L^2/16 everywhere.
     """
     r = np.asarray(r, dtype=float)
-    L = np.log1p(r * r)
-    low = r * r <= RHO_SPLIT_RSQ
+    L = log_symbol(r)
+    low = _r_squared_at_most(r, RHO_SPLIT_RSQ)
     L_safe = np.where(low, 1.0, L)  # high branch never sees L = 0
     out = np.where(low, 0.25 * L, (L * L + PI_SQ) / (16.0 * L_safe))
     return _unbox(out)
@@ -71,8 +77,8 @@ def phi(r):
     Continuous at the split and bounded by 8/9.
     """
     r = np.asarray(r, dtype=float)
-    L = np.log1p(r * r)
-    out = np.where(r * r <= PHI_SPLIT_RSQ, (2.0 / 3.0) * L, 8.0 / 9.0)
+    L = log_symbol(r)
+    out = np.where(_r_squared_at_most(r, PHI_SPLIT_RSQ), (2.0 / 3.0) * L, 8.0 / 9.0)
     return _unbox(out)
 
 

@@ -87,6 +87,57 @@ def test_quarter_period_radii_phase_spacing():
 
 
 # ---------------------------------------------------------------------------
+# the panel rule: G7 embedded in K15
+
+
+def _monomial_errors(x, w, degrees):
+    return [abs(float((w * x ** d).sum()) - (0.0 if d % 2 else 2.0 / (d + 1)))
+            for d in degrees]
+
+
+def test_k15_exact_to_degree_23_not_24():
+    assert max(_monomial_errors(q._K15_X, q._K15_W, range(24))) <= 1e-15
+    assert _monomial_errors(q._K15_X, q._K15_W, [24])[0] > 1e-10
+
+
+def test_g7_on_the_odd_kronrod_nodes_is_exact_to_degree_13():
+    x7 = q._K15_X[1::2]
+    assert max(_monomial_errors(x7, q._G7_W, range(14))) <= 1e-15
+    assert _monomial_errors(x7, q._G7_W, [14])[0] > 1e-5
+    gx, gw = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(x7 - gx)) <= 2e-16 and np.max(np.abs(q._G7_W - gw)) <= 3e-16
+    # the panel's error estimate is |K15 - G7|: zero up to degree 13, not at 14
+    one = np.array([-1.0]), np.array([1.0])
+    assert q._panel_values(lambda x: x ** 13 + x ** 12, *one)[1][0] <= 1e-15
+    assert q._panel_values(lambda x: x ** 14, *one)[1][0] > 1e-5
+
+
+def test_seed_pass_costs_15_evals_per_panel():
+    res = q.integrate(lambda x: x ** 5, 0.0, 2.0, tol=1e-12,
+                      breakpoints=[0.5, 1.0, 1.5])
+    assert res.evals == 15 * 4
+    assert abs(res.value - 64.0 / 6.0) <= 1e-13
+
+
+def test_breakpoints_merge_like_a_sorted_set():
+    def f(r):
+        return np.sin(3.0 * r) ** 2 * np.exp(-r)
+
+    a, b = 0.0, 4.0
+    messy = [3.5, 0.25, 2.0, 0.25, -1.0, 4.0, 0.0, 9.0, 1.0, 2.0, 3.5, 0.75]
+    edges = sorted(set(float(x) for x in messy if a < x < b))
+    kw = dict(tol=1e-300, rel_tol=1e-12)
+    ref = q.integrate(f, a, b, breakpoints=edges, **kw)
+    assert ref.evals > 15 * (len(edges) + 1)  # bisection ran
+    with_nan = messy + [math.nan, 0.25, math.nan, 9.0]
+    for bp in (messy, np.array(messy), np.array(messy).reshape(3, 4), with_nan,
+               np.array(with_nan).reshape(4, 4)):
+        res = q.integrate(f, a, b, breakpoints=bp, **kw)
+        assert (res.value, res.err_estimate, res.evals) == (
+            ref.value, ref.err_estimate, ref.evals)
+
+
+# ---------------------------------------------------------------------------
 # vector-valued integrands: (n, m) values, one panel tree, a target per component
 
 
@@ -97,7 +148,7 @@ def test_vector_components_equal_scalar_calls_without_bisection():
     # a C-ordered (n, m) array: the nodes of one component are not contiguous
     res = q.integrate(lambda x: np.stack([np.exp(-k * x) * x * x for k in ks], axis=1),
                       0.0, 3.0, **kw)
-    assert res.evals == 22 * 24  # the seed pass met every target
+    assert res.evals == 15 * 24  # the seed pass met every target
     assert res.value.shape == res.err_estimate.shape == (3,)
     for j, k in enumerate(ks):
         one = q.integrate(lambda x: np.exp(-k * x) * x * x, 0.0, 3.0, **kw)

@@ -47,6 +47,61 @@ def test_propagate_closed_at_a_huge_radius():
     assert 0.0 < abs(st1.u_hat) < 1e-190
 
 
+def test_multipliers_past_the_square_overflow():
+    state = sym.SpectralState(0.3 - 1.2j, 0.7 + 0.4j)
+    with np.errstate(all="raise"):
+        values = [sym.rho(1e200), sym.phi(1e200), sym.energy_e(state, 1e200),
+                  sym.source_r(state, 1e200)]
+    assert all(math.isfinite(v) for v in values)
+    assert values[1] == 8.0 / 9.0
+
+
+# rho, phi, energy_e and source_r (at the state above) as computed from
+# log1p(r*r) before the multipliers took L from log_symbol, as float hex
+_R_GRID = [0.0, 1e-300, 1e-8, 0.1, 0.5, 1.0, 1.67, 1.68, 2.26, 2.27, 10.0, 1e4, 1e20,
+           1e100, 1e149]
+_MULTIPLIER_BITS = {
+    "rho": ["0x0.0p+0", "0x0.0p+0", "0x1.cd2b297d889bdp-56", "0x1.460d6ccca3678p-9",
+            "0x1.c8ff7c79a9a22p-5", "0x1.62e42fefa39efp-3", "0x1.5502ea68f2dccp-2",
+            "0x1.5743d02f0e5e0p-2", "0x1.cf3d9d0e0619ap-2", "0x1.cfef0c0772e78p-2",
+            "0x1.b03beb4c5c317p-2", "0x1.2f4db396139dfp+0", "0x1.70d79d74f933ap+2",
+            "0x1.cc89d7ded93cap+4", "0x1.5717a59a8105cp+5"],
+    "phi": ["0x0.0p+0", "0x0.0p+0", "0x1.33721ba905bd3p-54", "0x1.b2bc9110d9df5p-8",
+            "0x1.30aa52fbc66c1p-3", "0x1.d9303fea2f7e9p-2", "0x1.c6ae8de143d10p-1"]
+           + ["0x1.c71c71c71c71cp-1"] * 8,
+    "energy_e": ["0x1.1b3539f741e68p+1", "0x1.1b3539f741e68p+1", "0x1.1b3539f741e68p+1",
+                 "0x1.1b207576e46d2p+1", "0x1.1bb7c33e12a48p+1", "0x1.2cbdfa8166383p+1",
+                 "0x1.66931d65f0138p+1", "0x1.67a68e56fe599p+1", "0x1.abe3886094aaep+1",
+                 "0x1.acf81cb6ed808p+1", "0x1.ea640f5f958dfp+2", "0x1.4def35a328141p+6",
+                 "0x1.fb46aeebc99e2p+10", "0x1.8c0ca0894915cp+15", "0x1.b7a4d8339f0ecp+16"],
+    "source_r": ["0x0.0p+0", "0x0.0p+0", "0x1.2bc2749198cbap-56", "0x1.a7de40a3a139bp-10",
+                 "0x1.290c774f14a95p-5", "0x1.cd5bd7eabb1b6p-4", "0x1.bb50972208855p-3",
+                 "0x1.be3e8ea392ad5p-3", "0x1.2d1b3faf83f70p-2", "0x1.2d8e949e71167p-2",
+                 "0x1.18f3bf5808b9bp-2", "0x1.8a4b69764cb3bp-1", "0x1.df7eb31810c31p+1",
+                 "0x1.2b59991da6cdcp+4", "0x1.be052415a7baap+4"],
+}
+
+
+def test_multipliers_keep_their_bits_below_the_square_overflow():
+    r = np.array(_R_GRID)
+    state = sym.SpectralState(0.3 - 1.2j, 0.7 + 0.4j)
+    got = {"rho": sym.rho(r), "phi": sym.phi(r), "energy_e": sym.energy_e(state, r),
+           "source_r": sym.source_r(state, r)}
+    for name, bits in _MULTIPLIER_BITS.items():
+        assert [float(v).hex() for v in got[name]] == bits, name
+
+
+def test_propagate_closed_keeps_real_data_real():
+    r = np.linspace(0.0, 8.0, 33)
+    t = np.linspace(0.0, 12.0, 7).reshape(-1, 1)
+    st_real = propagate_closed(0.4, -1.3, r, t)
+    st_cplx = propagate_closed(0.4 + 0j, -1.3 + 0j, r, t)
+    assert st_real.u_hat.dtype == st_real.v_hat.dtype == np.float64
+    assert st_cplx.u_hat.dtype == np.complex128
+    for a, b in ((st_real.u_hat, st_cplx.u_hat), (st_real.v_hat, st_cplx.v_hat)):
+        assert np.allclose(a, b.real, rtol=1e-15, atol=0.0)
+
+
 @given(st.floats(min_value=0.0, max_value=1e3), st.floats(min_value=1e-6, max_value=10.0))
 @settings(max_examples=60, deadline=None)
 def test_log_symbol_monotone(r, dr):
