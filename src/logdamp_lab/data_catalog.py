@@ -150,7 +150,8 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
 
         def hat_r(r, amp=amp):
             r = np.asarray(r, dtype=float)
-            return amp * (np.exp(-r * r / 4.0) - np.exp(-r * r / 8.0))
+            # e^{-r^2/4} - e^{-r^2/8} without the cancellation at small r
+            return amp * np.exp(-r * r / 8.0) * np.expm1(-r * r / 8.0)
 
         def hat(xi, hat_r=hat_r):
             xi = np.asarray(xi, dtype=float)

@@ -191,7 +191,7 @@ def _spectral_quadratic(p0, p1, N, t, mode, wu=None, wv=None, rel_tol=1e-9):
         # (time, node) as (node, time): a transposed view, no copy
         return (dens * np.power(r, N - 1)).T
 
-    seeds = np.geomspace(r_hi * 1e-5, r_hi, 48)
+    seeds = quadrature.geom_points(r_hi * 1e-5, r_hi, 48)
     res = quadrature.integrate(integrand, 0.0, r_hi, tol=1e-300, rel_tol=rel_tol,
                                breakpoints=seeds)
     return _trace_norm(N) * res.value
@@ -284,7 +284,7 @@ def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
         r_gauss = math.sqrt(60.0 / alpha) if amp > 0 else 2.0
         rough = quadrature.integrate(
             integrand, lo, max(lo + 1.0, 4.0), tol=1e-300, rel_tol=1e-3,
-            breakpoints=quadrature.quarter_period_radii(t, lo, max(lo + 1.0, 4.0)),
+            breakpoints=quadrature.phase_radii(t, lo, max(lo + 1.0, 4.0)),
         ).value
         scale = max(abs(rough), 1e-250)
         budget = rel_tol * scale / 10.0
@@ -297,8 +297,8 @@ def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
     X = math.log(1.0 / rel_tol) + 40.0
     r_osc_hi = min(hi, quadrature.log_radius(min(X / max(t, 1e-9), 400.0)))
     seeds = np.concatenate([
-        quadrature.quarter_period_radii(t, lo, r_osc_hi),
-        np.geomspace(max(lo, hi * 1e-6), hi, 40) if hi > lo else np.empty(0),
+        quadrature.phase_radii(t, lo, r_osc_hi),
+        quadrature.geom_points(max(lo, hi * 1e-6), hi, 40) if hi > lo else np.empty(0),
     ])
     res = quadrature.integrate(integrand, lo, hi, tol=1e-300, rel_tol=rel_tol,
                                breakpoints=seeds)

@@ -3,9 +3,9 @@
 Everything here integrates real-valued radial functions.  The workhorse is
 :func:`integrate`, an adaptive panel scheme with the 7-point Gauss rule
 embedded in the 15-point Kronrod rule (QUADPACK's qk15: 15 evals per panel,
-one integrand call, the K15 value and |K15 - G7| as its error): panels are
-bisected greedily, worst error first, until the summed panel-error estimate
-meets the tolerance.  An integrand may also return m values per abscissa, an
+one integrand call and one matrix product, the K15 value and |K15 - G7| as
+its error): panels are bisected greedily, worst error first, until the
+summed panel-error estimate meets the tolerance.  An integrand may also return m values per abscissa, an
 (n, m) array: all m components then share one panel tree (the rule of
 scipy's quad_vec), each is held to its own target, and a panel is bisected
 while any component misses its target.  On top of it sit the model integrals
@@ -14,9 +14,11 @@ the Gaussian moments A_N / F_N(t).  One loop, :func:`_tail_cut`, cuts the
 improper tails of J_p and of both comparison routes: it certifies a cut with
 the bound (1+R^2)^{-(t-N/2)} / (2(t-N/2)) or refuses with TailNotBounded.
 
-Oscillatory integrands are handled by seeding panel edges at quarter-period
-increments of the known phase, never by letting the bisection discover the
-oscillation on its own (which can alias silently).
+Oscillatory integrands are handled by seeding panel edges where the known
+phase crosses a multiple of pi/2 (half a period of sin^2), never by letting
+the bisection discover the oscillation on its own (which can alias silently).
+With 15 nodes per half period and K15 exact to degree 23, a seed panel holds
+too little of the oscillation to hide it from |K15 - G7|.
 """
 
 from __future__ import annotations
@@ -72,8 +74,15 @@ _WG = np.array([
 _K15_X = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _K15_W = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _G7_W = np.concatenate([_WG[:-1], _WG[::-1]])
+# (15, 2): the K15 weights, and K15 minus G7 with G7 zero off the Gauss nodes
+_KG_W = np.stack([_K15_W, _K15_W], axis=1)
+_KG_W[1::2, 1] -= _G7_W
 
 _CMP_TOL = 1e-10  # relative tolerance of both routes to the comparison integral
+
+# Oscillatory integrands get panel edges where their phase crosses a multiple
+# of this step: half a period of sin^2 and of cos^2, a quarter period of sin.
+_PHASE_STEP = math.pi / 2.0
 
 
 def surface_area(n: int) -> float:
@@ -99,17 +108,16 @@ def _at_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
 
 def _panel_values(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """Evaluate G7 embedded in K15 on a batch of panels: 15 evals per panel,
-    one integrand call.
+    one integrand call, one matrix product.
 
     Returns (value15, abs(value15 - value7)) per panel, each (P,) or, for m
-    components, (m, P); value7 reuses the K15 values at the Gauss nodes.
+    components, (m, P): the node values times _KG_W give the K15 sum and the
+    K15 - G7 sum at once, G7 reusing the K15 values at the Gauss nodes.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fx = _at_nodes(f, mid[:, None] + half[:, None] * _K15_X[None, :])
-    v15 = half * (fx * _K15_W).sum(axis=-1)
-    v7 = half * (fx[..., 1::2] * _G7_W).sum(axis=-1)
-    return v15, np.abs(v15 - v7)
+    sums = _at_nodes(f, mid[:, None] + half[:, None] * _K15_X[None, :]) @ _KG_W
+    return half * sums[..., 0], np.abs(half * sums[..., 1])
 
 
 def integrate(
@@ -157,7 +165,8 @@ def integrate(
 
     lo, hi = edges[:-1], edges[1:]
     if len(lo) > max_panels:
-        raise NonConvergence(f"{len(lo)} seed panels exceed budget {max_panels}")
+        raise NonConvergence(f"{len(lo)} seed panels on [{a}, {b}] exceed budget "
+                             f"{max_panels}")
     vals, errs = _panel_values(f, lo, hi)
     evals = 15 * len(lo)
     # scalars keep their own loop: merged, bisection-heavy ones ran 1.4-1.8x slower
@@ -177,9 +186,8 @@ def integrate(
         if total_err <= target:
             return QuadResult(total, total_err, evals)
         if n_panels + 1 > max_panels:
-            raise NonConvergence(
-                f"error {total_err:.3e} > target {target:.3e} after {n_panels} panels"
-            )
+            raise NonConvergence(f"error {total_err:.3e} > target {target:.3e} on "
+                                 f"[{a}, {b}] after {n_panels} panels")
         if heap is None:
             heap = [(-errs[i], i, lo[i], hi[i], vals[i]) for i in range(len(lo))]
             heapq.heapify(heap)
@@ -189,9 +197,8 @@ def integrate(
         if pm <= pa or pm >= pb:
             # worst panel already at floating-point resolution: no further
             # refinement can reduce the dominant error term
-            raise NonConvergence(
-                f"panel [{pa}, {pb}] at machine resolution with error {-neg_err:.3e}"
-            )
+            raise NonConvergence(f"panel [{pa}, {pb}] of [{a}, {b}] at machine "
+                                 f"resolution with error {-neg_err:.3e}")
         l2, h2 = np.array([pa, pm]), np.array([pm, pb])
         v2, e2 = _panel_values(f, l2, h2)
         evals += 30
@@ -222,7 +229,7 @@ def _integrate_components(f, a, b, tol, rel_tol, max_panels, lo, hi, vals, errs,
         if n_panels + 1 > max_panels:
             j = int(np.argmax(total_err / target))
             raise NonConvergence(f"component {j}: error {total_err[j]:.3e} > target "
-                                 f"{target[j]:.3e} after {n_panels} panels")
+                                 f"{target[j]:.3e} on [{a}, {b}] after {n_panels} panels")
         if heap is None:
             key = (errs / scale[:, None]).max(axis=0)
             heap = [(-key[i], i, lo[i], hi[i], vals[:, i], errs[:, i])
@@ -232,8 +239,8 @@ def _integrate_components(f, a, b, tol, rel_tol, max_panels, lo, hi, vals, errs,
         neg_key, _, pa, pb, pval, perr = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
         if pm <= pa or pm >= pb:
-            raise NonConvergence(f"panel [{pa}, {pb}] at machine resolution with "
-                                 f"scaled error {-neg_key:.3e}")
+            raise NonConvergence(f"panel [{pa}, {pb}] of [{a}, {b}] at machine "
+                                 f"resolution with scaled error {-neg_key:.3e}")
         l2, h2 = np.array([pa, pm]), np.array([pm, pb])
         v2, e2 = _panel_values(f, l2, h2)
         evals += 30
@@ -251,29 +258,43 @@ def log_radius(x: float) -> float:
     return math.sqrt(math.expm1(x))
 
 
-def quarter_period_radii(t: float, r_lo: float, r_hi: float) -> np.ndarray:
-    """Radii where the phase t*sqrt(log(1+r^2)) crosses multiples of pi/4.
+def _phase_points(w: float, x_lo: float, x_hi: float) -> np.ndarray:
+    """The points x > 0 of [x_lo, x_hi] where the phase w*x is a multiple of
+    _PHASE_STEP: the one phase grid of this module."""
+    if not w > 0 or x_hi <= x_lo:
+        return np.empty(0)
+    k_lo = max(int(math.ceil(w * x_lo / _PHASE_STEP)), 1)
+    k_hi = int(math.floor(w * x_hi / _PHASE_STEP))
+    return np.arange(k_lo, k_hi + 1, dtype=float) * _PHASE_STEP / w
 
-    These seed panel edges so each panel spans at most a quarter period of
-    sin(t sqrt(log(1+r^2))), the aliasing guard for large t.
+
+def phase_radii(t: float, r_lo: float, r_hi: float) -> np.ndarray:
+    """Radii of [r_lo, r_hi] where the phase t*sqrt(log(1+r^2)) crosses a
+    multiple of _PHASE_STEP = pi/2.
+
+    As panel edges they hold each panel to half a period of
+    sin^2(t sqrt(log(1+r^2))): 15 K15 and 7 G7 nodes per half period, the
+    aliasing guard for large t.
     """
-    if t <= 0 or r_hi <= r_lo:
-        return np.empty(0)
-    ph_lo = t * math.sqrt(math.log1p(r_lo * r_lo))
-    ph_hi = t * math.sqrt(math.log1p(r_hi * r_hi))
-    k_lo = int(math.ceil(ph_lo / (math.pi / 4)))
-    k_hi = int(math.floor(ph_hi / (math.pi / 4)))
-    if k_hi < k_lo:
-        return np.empty(0)
-    k = np.arange(max(k_lo, 1), k_hi + 1, dtype=float)
-    return np.sqrt(np.expm1((k * math.pi / (4.0 * t)) ** 2))
+    y = _phase_points(t, math.sqrt(math.log1p(r_lo * r_lo)),
+                      math.sqrt(math.log1p(r_hi * r_hi)))
+    return np.sqrt(np.expm1(y * y))
+
+
+def geom_points(lo: float, hi: float, n: int) -> np.ndarray:
+    """n points from lo to hi in geometric progression, both ends exact:
+    np.geomspace's values to rounding, in closed form at a fraction of its
+    call cost."""
+    x = lo * (hi / lo) ** (np.arange(n) / (n - 1))
+    x[-1] = hi
+    return x
 
 
 def _geom_fill(lo: float, hi: float, per_decade: int = 8) -> np.ndarray:
     if hi <= lo or lo <= 0:
         return np.empty(0)
     n = max(4, int(per_decade * math.log10(hi / lo)) + 1)
-    return np.geomspace(lo, hi, n)
+    return geom_points(lo, hi, n)
 
 
 def integral_Ip(p: float, t: float) -> float:
@@ -364,7 +385,7 @@ def integral_Jp(p: float, t: float) -> float:
 def optimality_integral(N: int, t: float) -> float:
     """omega_N * int_0^inf (1+r^2)^{-t} sin^2(t sqrt(log(1+r^2))) r^{N-1} dr.
 
-    Panels are pre-seeded at quarter-period phase increments; with
+    Panels are pre-seeded at half periods of sin^2 (:func:`phase_radii`); with
     sin^2 <= 1 the tail is cut by :func:`_tail_cut`, so the panel count grows
     like sqrt(t).  Raises ValueError when the value underflows a float.
     """
@@ -378,7 +399,7 @@ def optimality_integral(N: int, t: float) -> float:
         return np.exp(-t * L) * np.sin(t * np.sqrt(L)) ** 2 * np.power(r, N - 1)
 
     def head(y, r_hi):
-        seeds = np.concatenate([quarter_period_radii(t, 0.0, r_hi),
+        seeds = np.concatenate([phase_radii(t, 0.0, r_hi),
                                 _geom_fill(r_hi * 1e-8, r_hi)])
         return integrate(f, 0.0, r_hi, tol=1e-300, rel_tol=_CMP_TOL,
                          breakpoints=seeds).value
@@ -409,8 +430,8 @@ def substitution_oracle(N: int, t: float) -> float:
         )
 
     def head(y_cut, r_hi):
-        k = np.arange(1, int(4.0 * t * y_cut / math.pi) + 1, dtype=float)
-        seeds = np.concatenate([k * math.pi / (4.0 * t), _geom_fill(y_cut * 1e-8, y_cut)])
+        seeds = np.concatenate([_phase_points(t, 0.0, y_cut),
+                                _geom_fill(y_cut * 1e-8, y_cut)])
         return integrate(g, 0.0, y_cut, tol=1e-300, rel_tol=_CMP_TOL,
                          breakpoints=seeds).value
 
@@ -438,7 +459,7 @@ def f_osc(N: int, t: float) -> float:
     """F_N(t) = int_0^inf e^{-y^2} cos^2(sqrt(t) y) y^{N-1} dy, to 1e-12 absolute.
 
     Tends to A_N / 2: the mean of cos^2 survives, the oscillatory half washes
-    out.  Panels are kept below a quarter period of cos(sqrt(t) y).
+    out.  Panels are kept to half a period of cos^2(sqrt(t) y).
     """
     if N < 3:
         raise ValueError("requires N >= 3")
@@ -451,9 +472,6 @@ def f_osc(N: int, t: float) -> float:
     def g(y):
         return np.exp(-y * y) * np.cos(w * y) ** 2 * np.power(y, N - 1)
 
-    seeds = np.linspace(0.0, Y, 16)[1:-1]
-    if w > 0:
-        k = np.arange(1, int(4.0 * w * Y / math.pi) + 1, dtype=float)
-        seeds = np.concatenate([seeds, k * math.pi / (4.0 * w)])
+    seeds = np.concatenate([np.linspace(0.0, Y, 16)[1:-1], _phase_points(w, 0.0, Y)])
     res = integrate(g, 0.0, Y, tol=1e-12, rel_tol=1e-13, breakpoints=seeds)
     return res.value

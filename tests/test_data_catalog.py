@@ -50,6 +50,22 @@ def test_zero_mean_pair_l1_against_reference():
     assert abs(p.l1 - 4.0 * PI * ref) < 1e-11
 
 
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_zero_mean_pair_transform_to_a_few_ulp(N):
+    # pi^{N/2} (e^{-r^2/4} - e^{-r^2/8}): the two terms agree to 4e-5 at
+    # r = 0.018 and to 1e-9 at r = 1e-4, so their difference in floats would
+    # keep only a few digits there
+    import mpmath
+
+    p = cat.make_profile("zero_mean_pair", N=N)
+    for r in (1e-4, 1e-2, 0.018, 0.5, 3.0):
+        with mpmath.workdps(40):
+            x = mpmath.mpf(r) ** 2
+            ex = float(mpmath.pi ** (mpmath.mpf(N) / 2)
+                       * (mpmath.exp(-x / 4) - mpmath.exp(-x / 8)))
+        assert abs(float(p.hat_radial(r)) - ex) <= 4.0 * np.finfo(float).eps * abs(ex)
+
+
 def test_shifted_gaussian_fields():
     c = 0.8
     p = cat.make_profile("shifted_gaussian", N=3, offset=c)

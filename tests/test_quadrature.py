@@ -63,14 +63,14 @@ def test_empty_and_invalid_intervals():
 
 
 def test_panel_budget_exhaustion():
-    with pytest.raises(q.NonConvergence):
+    with pytest.raises(q.NonConvergence, match=r"on \[0.0, 10.0\] after 4 panels$"):
         q.integrate(lambda r: np.sin(50.0 * r), 0.0, 10.0, tol=1e-15, max_panels=4)
 
 
 def test_breakpoints_respected():
-    # heavily oscillatory: seeded quarter-period edges converge quickly
+    # heavily oscillatory: seeded half-period edges converge quickly
     t = 2000.0
-    seeds = q.quarter_period_radii(t, 0.0, 0.5)
+    seeds = q.phase_radii(t, 0.0, 0.5)
     res = q.integrate(
         lambda r: np.sin(t * np.sqrt(np.log1p(r * r))) ** 2 * np.exp(-t * np.log1p(r * r)),
         0.0, 0.5, tol=1e-300, rel_tol=1e-10, breakpoints=seeds,
@@ -78,12 +78,60 @@ def test_breakpoints_respected():
     assert res.value > 0
 
 
-def test_quarter_period_radii_phase_spacing():
+def test_phase_radii_phase_spacing():
+    # every multiple of pi/2 in the phase range, and nothing in between: steps
+    # of exactly pi/2, half a period of sin^2
     t = 321.0
-    radii = q.quarter_period_radii(t, 0.0, 1.0)
+    radii = q.phase_radii(t, 0.0, 1.0)
     phases = t * np.sqrt(np.log1p(radii * radii))
-    k = np.round(phases / (math.pi / 4.0))
-    assert np.max(np.abs(phases - k * math.pi / 4.0)) < 1e-8
+    k = np.round(phases / (math.pi / 2.0))
+    assert np.max(np.abs(phases - k * math.pi / 2.0)) < 1e-8
+    assert np.array_equal(k, np.arange(1, math.floor(t * math.sqrt(math.log(2.0))
+                                                     / (math.pi / 2.0)) + 1))
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("t", [1e2, 3e4])
+def test_comparison_routes_meet_their_target_on_the_phase_seeds(N, t, monkeypatch):
+    # a phase step too coarse for the panel rule shows up as bisections: every
+    # integral of both comparison routes must finish in its seed pass
+    calls = []
+    integrate = q.integrate
+
+    def spy(f, a, b, *args, breakpoints=None, **kw):
+        res = integrate(f, a, b, *args, breakpoints=breakpoints, **kw)
+        inner = np.asarray(breakpoints, dtype=float).ravel()
+        calls.append((res.evals, len(np.unique(inner[(inner > a) & (inner < b)])) + 1))
+        return res
+
+    monkeypatch.setattr(q, "integrate", spy)
+    q.optimality_integral(N, t)
+    q.substitution_oracle(N, t)
+    assert len(calls) >= 2
+    assert all(evals == 15 * panels for evals, panels in calls)
+
+
+def test_non_convergence_names_the_interval():
+    with pytest.raises(q.NonConvergence,
+                       match=r"^10 seed panels on \[0.0, 1.0\] exceed budget 5$"):
+        q.integrate(lambda r: r, 0.0, 1.0, breakpoints=np.linspace(0.0, 1.0, 11),
+                    max_panels=5)
+    with pytest.raises(q.NonConvergence,
+                       match=r"^component 1: .* on \[0.0, 10.0\] after 4 panels$"):
+        q.integrate(lambda r: np.stack([r, np.sin(50.0 * r)], axis=1), 0.0, 10.0,
+                    tol=1e-15, max_panels=4)
+    # one ulp wide: the midpoint rounds onto an edge, so no bisection can help
+    b = float(np.nextafter(1.0, 2.0))
+
+    def step(r):
+        return (r < 1.0) * 1.0
+
+    with pytest.raises(q.NonConvergence, match=rf"^panel \[1.0, {b}\] of \[1.0, {b}\] "
+                                               r"at machine resolution with error"):
+        q.integrate(step, 1.0, b, tol=1e-300)
+    with pytest.raises(q.NonConvergence, match=rf"^panel \[1.0, {b}\] of \[1.0, {b}\] "
+                                               r"at machine resolution with scaled error"):
+        q.integrate(lambda r: np.stack([r, step(r)], axis=1), 1.0, b, tol=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +379,7 @@ def test_Ip_bounds_elementary(p, t):
 
 
 @pytest.mark.parametrize("t, N", [
-    *itertools.product([100.0, 1000.0, 10_000.0, 1e5, 1e6], [3, 4, 5]),
+    *itertools.product([100.0, 1000.0, 10_000.0, 1e5, 1e6, 1e8], [3, 4, 5]),
     # just above the t > N/2 + 1 threshold, where the tail decays slowest
     (2.6, 3), (3.6, 5),
 ])
@@ -342,13 +390,16 @@ def test_optimality_matches_substitution_oracle(N, t):
 
 
 @pytest.mark.parametrize("N", [3, 5])
-@pytest.mark.parametrize("t", [100.0, 1e4, 1e6])
+@pytest.mark.parametrize("t", [100.0, 1e4, 1e6, 1e8])
 def test_optimality_matches_beta_closed_form(N, t):
     # sin^2 = (1 - cos)/2: the mean half is omega_N B(N/2, t - N/2) / 4, and
-    # for odd N the cosine half is exponentially small; lgamma's own rounding
-    # (about 1e-9 relative at t = 1e6) sets the tolerance
-    log_beta = math.lgamma(N / 2.0) + math.lgamma(t - N / 2.0) - math.lgamma(t)
-    beta_half = q.surface_area(N) * math.exp(log_beta) / 4.0
+    # for odd N the cosine half is exponentially small; mpmath gives the Beta
+    # function without lgamma's rounding (about 1e-9 relative at t = 1e6 and
+    # 4e-7 at t = 1e8)
+    import mpmath
+
+    with mpmath.workdps(30):
+        beta_half = float(q.surface_area(N) * mpmath.beta(N / 2.0, t - N / 2.0) / 4)
     assert abs(q.optimality_integral(N, t) - beta_half) <= 1e-8 * beta_half
 
 
