@@ -333,8 +333,10 @@ def profile_error_trace(profile_u1, N, tgrid, region="low", rel_tol=1e-9) -> Tra
 
 def optimality_trace(N, tgrid):
     """Raw and t^{N/2}-normalized traces of the sin^2 comparison integral,
-    plus its two-sided window checks and the substitution-oracle agreement,
-    and the anchors A_N and F_N(t_hi) that its floor check used."""
+    plus its two-sided window checks, the substitution-oracle agreement and
+    the sin^2 <= 1 majorant omega_N (I_{N-1} + J_{N-1}), taken in closed form
+    as omega_N B(N/2, t - N/2) / 2 through quadrature.log_beta, and the
+    anchors A_N and F_N(t_hi) that its floor check used."""
     times = _times(tgrid)
     with np.errstate(over="ignore"):
         scale = times ** (N / 2.0)
@@ -353,9 +355,9 @@ def optimality_trace(N, tgrid):
     f_end = quadrature.f_osc(N, float(times[-1]))
     lower_floor = quadrature.surface_area(N) * (a_n - f_end) * 0.95
     rel_gap = float(np.max(np.abs(raw - oracle) / np.abs(raw)))
+    log_omega = math.log(quadrature.surface_area(N))
     majorant = np.array([
-        quadrature.surface_area(N)
-        * (quadrature.integral_Ip(N - 1, float(t)) + quadrature.integral_Jp(N - 1, float(t)))
+        math.exp(log_omega + quadrature.log_beta(N / 2.0, float(t) - N / 2.0) - math.log(2.0))
         for t in times
     ])
 

@@ -9,10 +9,13 @@ summed panel-error estimate meets the tolerance.  An integrand may also return m
 (n, m) array: all m components then share one panel tree (the rule of
 scipy's quad_vec), each is held to its own target, and a panel is bisected
 while any component misses its target.  On top of it sit the model integrals
-I_p / J_p, the sin^2 comparison integral with its substitution oracle, and
-the Gaussian moments A_N / F_N(t).  One loop, :func:`_tail_cut`, cuts the
-improper tails of J_p and of both comparison routes: it certifies a cut with
-the bound (1+R^2)^{-(t-N/2)} / (2(t-N/2)) or refuses with TailNotBounded.
+I_p / J_p, the sin^2 comparison integral with its substitution oracle and
+the Gaussian moments A_N / F_N(t); :func:`log_beta` gives their sum
+I_p + J_p = B((p+1)/2, t-(p+1)/2)/2 in closed form.  One loop,
+:func:`_tail_cut`, cuts the improper tails of J_p and of both comparison
+routes: its first cut is sized by an estimate of the value, and it certifies a
+cut with the bound (1+R^2)^{-(t-N/2)} / (2(t-N/2)) or refuses with
+TailNotBounded.
 
 Oscillatory integrands are handled by seeding panel edges where the known
 phase crosses a multiple of pi/2 (half a period of sin^2), never by letting
@@ -79,6 +82,10 @@ _KG_W = np.stack([_K15_W, _K15_W], axis=1)
 _KG_W[1::2, 1] -= _G7_W
 
 _CMP_TOL = 1e-10  # relative tolerance of both routes to the comparison integral
+# the first tail cut leaves this fraction of rel_tol times the value estimate:
+# a tenth of what the certifying test allows, so an estimate up to 10x high
+# still certifies in one pass
+_FIRST_CUT = 0.01
 
 # Oscillatory integrands get panel edges where their phase crosses a multiple
 # of this step: half a period of sin^2 and of cos^2, a quarter period of sin.
@@ -88,6 +95,35 @@ _PHASE_STEP = math.pi / 2.0
 def surface_area(n: int) -> float:
     """Surface area of the unit sphere in R^n, 2 pi^{n/2} / Gamma(n/2)."""
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
+
+
+# B_{2k} / (2k (2k-1)), k = 1..6: the Stirling series of lgamma(x) - (x - 1/2)
+# log x + x - log(2 pi)/2, whose next term is below 1e-15 / x at x >= 10
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0)
+
+
+def _stirling_sum(x: float) -> float:
+    z = 1.0 / (x * x)
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * z + c
+    return acc / x
+
+
+def log_beta(a: float, b: float) -> float:
+    """log B(a, b) for a, b > 0, to about 1e-14 + 1e-15 |log B| absolute.
+
+    With both arguments below 10, three lgamma values.  Otherwise lgamma of
+    the smaller argument s plus the Stirling difference lgamma(T - s) -
+    lgamma(T), T = a + b, in closed form: the plain lgamma difference cancels,
+    and at T = 1e15 it is off by a factor 7.9 in B.
+    """
+    if max(a, b) < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    s, T = min(a, b), a + b
+    return (math.lgamma(s) - s * math.log(T) + (T - s - 0.5) * math.log1p(-s / T) + s
+            + _stirling_sum(T - s) - _stirling_sum(T))
 
 
 def _at_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -322,31 +358,47 @@ def integral_Ip(p: float, t: float) -> float:
     return integrate(f, 0.0, 1.0, tol=1e-300, rel_tol=1e-13, breakpoints=seeds).value
 
 
-def _comparison_value(N: int, t: float, integral: float) -> float:
-    """omega_N * integral, refused below the normal float range: there the
-    relative target is out of reach, and a zero passes the tail test of
-    :func:`_tail_cut` as 0 <= 0 once the bound underflows."""
-    value = surface_area(N) * integral
+def _normal_value(what: str, value: float) -> float:
+    """value, refused below the normal float range: there the relative target
+    is out of reach, and a zero passes the tail test of :func:`_tail_cut` as
+    0 <= 0 once the bound underflows."""
     if not value >= sys.float_info.min:
-        raise ValueError(f"comparison integral at N={N}, t={t:g} underflows a float "
+        raise ValueError(f"{what} underflows a float "
                          f"({value:.3g} < {sys.float_info.min:.3g})")
     return value
 
 
+def _comparison_value(N: int, t: float, integral: float) -> float:
+    """omega_N * integral, refused by :func:`_normal_value` when subnormal."""
+    return _normal_value(f"comparison integral at N={N}, t={t:g}",
+                         surface_area(N) * integral)
+
+
+def _comparison_log_scale(N: int, t: float) -> float:
+    """log B(N/2, t-N/2)/4: the mean half of the comparison integral over
+    omega_N, which is its value up to a relative e^{-t} for odd N."""
+    return log_beta(N / 2.0, t - N / 2.0) - math.log(4.0)
+
+
 def _tail_cut(name: str, N: float, t: float, rel_tol: float, head: Callable,
-              r_lo: float = 0.0, factor: float = 1.0) -> float:
+              log_scale: float, r_lo: float = 0.0, factor: float = 1.0) -> float:
     """An integral from r_lo to infinity: the one cut loop of this module.
 
     head(y, R) integrates from r_lo to R = log_radius(y^2) to relative
     rel_tol; the tail beyond R must be at most factor e^{-(t-N/2) y^2} /
     (2(t-N/2)), which factor 1 gives for |f| <= (1+r^2)^{-t} r^{N-1}, N >= 2
-    (as r^{N-2} <= (1+r^2)^{(N-2)/2}).  The first cut is where that bound has
-    fallen by e^{-X}, X = log(1/rel_tol) + 40, from its value at r_lo; y grows
-    by 1.5 per pass until the bound is at most 0.1 rel_tol |value|.  Raises
-    TailNotBounded, naming the integral and t, once R leaves the float range.
+    (as r^{N-2} <= (1+r^2)^{(N-2)/2}).  log_scale is the log of an estimate of
+    |value|, passed as a log since the value itself may underflow: the first
+    cut is where the bound meets _FIRST_CUT rel_tol e^{log_scale}, but not
+    below r_lo nor y^2 = 1/(t-N/2), so that y > 0.  y grows by 1.5 per pass
+    until the bound is at most 0.1 rel_tol |value|, so the estimate sets the
+    work, never the certificate.  Raises TailNotBounded, naming the integral
+    and t, once R leaves the float range.
     """
     decay = t - N / 2.0
-    y = math.sqrt(math.log1p(r_lo * r_lo) + (math.log(1.0 / rel_tol) + 40.0) / decay)
+    log_target = math.log(_FIRST_CUT * rel_tol) + log_scale
+    y = math.sqrt(max(math.log1p(r_lo * r_lo), 1.0 / decay,
+                      (math.log(factor / (2.0 * decay)) - log_target) / decay))
     while True:
         try:
             r_hi = log_radius(y * y)
@@ -363,8 +415,9 @@ def integral_Jp(p: float, t: float) -> float:
     """The model integral int_1^inf (1+r^2)^{-t} r^p dr, to 1e-13 relative.
 
     Cut by :func:`_tail_cut` at N = p + 1, times 2^{(1-p)/2} for p < 1 since
-    r^2 >= (1+r^2)/2 on r >= 1.  Raises TailNotBounded when 2t <= p + 1 or
-    when the cut leaves the float range.
+    r^2 >= (1+r^2)/2 on r >= 1, from the value estimate 2^{-t} / (2t - p - 1).
+    Raises TailNotBounded when 2t <= p + 1 or when the cut leaves the float
+    range, ValueError when the value underflows a float.
     """
     if p <= -1:
         raise ValueError("requires p > -1")
@@ -379,15 +432,19 @@ def integral_Jp(p: float, t: float) -> float:
                          breakpoints=_geom_fill(1.0 + 1e-9, r_hi)).value
 
     factor = 2.0 ** (0.5 * (1.0 - p)) if p < 1.0 else 1.0
-    return _tail_cut(f"J_{p:g}", p + 1.0, t, 1e-13, head, r_lo=1.0, factor=factor)
+    log_scale = -t * math.log(2.0) - math.log(2.0 * t - p - 1.0)
+    value = _tail_cut(f"J_{p:g}", p + 1.0, t, 1e-13, head, log_scale, r_lo=1.0,
+                      factor=factor)
+    return _normal_value(f"J_{p:g} at t={t:g}", value)
 
 
 def optimality_integral(N: int, t: float) -> float:
     """omega_N * int_0^inf (1+r^2)^{-t} sin^2(t sqrt(log(1+r^2))) r^{N-1} dr.
 
-    Panels are pre-seeded at half periods of sin^2 (:func:`phase_radii`); with
-    sin^2 <= 1 the tail is cut by :func:`_tail_cut`, so the panel count grows
-    like sqrt(t).  Raises ValueError when the value underflows a float.
+    Panels are pre-seeded at half periods of sin^2 (:func:`phase_radii`) and
+    nowhere else; with sin^2 <= 1 the tail is cut by :func:`_tail_cut`, sized
+    by the mean half omega_N B(N/2, t-N/2)/4, so the panel count grows like
+    sqrt(t log t).  Raises ValueError when the value underflows a float.
     """
     if N < 3:
         raise ValueError("requires N >= 3")
@@ -399,12 +456,11 @@ def optimality_integral(N: int, t: float) -> float:
         return np.exp(-t * L) * np.sin(t * np.sqrt(L)) ** 2 * np.power(r, N - 1)
 
     def head(y, r_hi):
-        seeds = np.concatenate([phase_radii(t, 0.0, r_hi),
-                                _geom_fill(r_hi * 1e-8, r_hi)])
         return integrate(f, 0.0, r_hi, tol=1e-300, rel_tol=_CMP_TOL,
-                         breakpoints=seeds).value
+                         breakpoints=phase_radii(t, 0.0, r_hi)).value
 
-    integral = _tail_cut(f"comparison integral (N={N})", N, t, _CMP_TOL, head)
+    integral = _tail_cut(f"comparison integral (N={N})", N, t, _CMP_TOL, head,
+                         _comparison_log_scale(N, t))
     return _comparison_value(N, t, integral)
 
 
@@ -430,12 +486,11 @@ def substitution_oracle(N: int, t: float) -> float:
         )
 
     def head(y_cut, r_hi):
-        seeds = np.concatenate([_phase_points(t, 0.0, y_cut),
-                                _geom_fill(y_cut * 1e-8, y_cut)])
         return integrate(g, 0.0, y_cut, tol=1e-300, rel_tol=_CMP_TOL,
-                         breakpoints=seeds).value
+                         breakpoints=_phase_points(t, 0.0, y_cut)).value
 
-    integral = _tail_cut(f"substitution oracle (N={N})", N, t, _CMP_TOL, head)
+    integral = _tail_cut(f"substitution oracle (N={N})", N, t, _CMP_TOL, head,
+                         _comparison_log_scale(N, t))
     return _comparison_value(N, t, integral)
 
 

@@ -351,3 +351,15 @@ def test_run_all_names_and_serialization(tmp_path, zero, gaussian):
         d = xp.report_as_dict(rep)
         json.dumps(d)  # everything must be serializable
         assert d["name"] == rep.name
+
+
+def test_optimality_trace_majorant_needs_no_quadrature(monkeypatch):
+    # the sin^2 <= 1 majorant is omega_N B(N/2, t - N/2) / 2 in closed form
+    def refuse(*args):
+        raise AssertionError("optimality_trace integrated the majorant")
+
+    monkeypatch.setattr(xp.quadrature, "integral_Ip", refuse)
+    monkeypatch.setattr(xp.quadrature, "integral_Jp", refuse)
+    _, _, checks, _ = xp.optimality_trace(3, [100.0, 300.0, 1000.0])
+    majorant = [c for c in checks if c.description.startswith("sin^2 <= 1 majorant")]
+    assert len(majorant) == 1 and majorant[0].passed

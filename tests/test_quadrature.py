@@ -348,10 +348,17 @@ def test_Ip_plus_Jp_equals_half_beta(p):
     import mpmath
 
     a = (p + 1.0) / 2.0
-    for t in (a + 0.5, a + 1.0, 5.0, 30.0, 100.0, 1e3, 1e4):
+    for t in (a + 0.5, a + 1.0, 5.0, 30.0, 100.0, 1e3):
         with mpmath.workdps(30):
             ex = float(mpmath.beta(a, t - a) / 2)
         assert abs(q.integral_Ip(p, t) + q.integral_Jp(p, t) - ex) <= 1e-12 * ex
+    # at t = 1e4, J_p ~ 2^{-t} is below the normal float range: refused, not
+    # returned as 0.0, and I_p alone carries the Beta value
+    with mpmath.workdps(30):
+        ex = float(mpmath.beta(a, 1e4 - a) / 2)
+    with pytest.raises(ValueError, match=rf"J_{p:g} at t=10000 underflows a float"):
+        q.integral_Jp(p, 1e4)
+    assert abs(q.integral_Ip(p, 1e4) - ex) <= 1e-12 * ex
 
 
 def test_Jp_slow_tail_anchors():
@@ -361,7 +368,7 @@ def test_Jp_slow_tail_anchors():
 
 
 def test_Jp_refuses_a_cut_beyond_the_float_range():
-    # decay 0.02: the first cut needs log(1+R^2) ~ 3500
+    # decay 0.02: the first cut needs log(1+R^2) ~ 1800
     with pytest.raises(q.TailNotBounded, match=r"J_1 at t=1\.02: .* leaves the float range"):
         q.integral_Jp(1.0, 1.02)
 
@@ -406,8 +413,8 @@ def test_optimality_matches_beta_closed_form(N, t):
 @pytest.mark.parametrize("t", [3455.11, 3700.0])
 def test_large_n_value_near_the_float_floor(t):
     # at N = 200 the value omega_N B(N/2, t - N/2) / 4 leaves the normal float
-    # range near t = 3772; just below, both routes still compute it, although
-    # their first cut holds only a sliver of the mass
+    # range near t = 3772; just below, both routes still compute it, their
+    # first cut sized by that value
     N = 200
     log_value = (math.log(q.surface_area(N)) + math.lgamma(N / 2.0)
                  + math.lgamma(t - N / 2.0) - math.lgamma(t) - math.log(4.0))
@@ -415,6 +422,73 @@ def test_large_n_value_near_the_float_floor(t):
     assert value >= sys.float_info.min
     for route in (q.optimality_integral, q.substitution_oracle):
         assert abs(route(N, t) - value) <= 1e-8 * value
+
+
+def _integrate_spy(monkeypatch):
+    """The evals of every integrate call made through the quadrature module."""
+    evals = []
+    integrate = q.integrate
+
+    def spy(*args, **kw):
+        res = integrate(*args, **kw)
+        evals.append(res.evals)
+        return res
+
+    monkeypatch.setattr(q, "integrate", spy)
+    return evals
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("route", [q.optimality_integral, q.substitution_oracle])
+def test_tail_cut_certifies_from_an_estimate_far_too_high(route, N, monkeypatch):
+    # a log_scale 20 too high puts the first cut far too short: the loop's own
+    # test must reject it and grow the cut until the value certifies
+    t = 1e3
+    want = route(N, t)
+    scale = q._comparison_log_scale
+    monkeypatch.setattr(q, "_comparison_log_scale", lambda N, t: scale(N, t) + 20.0)
+    evals = _integrate_spy(monkeypatch)
+    assert abs(route(N, t) - want) <= 1e-12 * want
+    assert len(evals) > 1
+
+
+@pytest.mark.parametrize("route", [q.optimality_integral, q.substitution_oracle])
+@pytest.mark.parametrize("N, t, max_evals", [(200, 3455.11, None), (3, 1e4, 6000)])
+def test_comparison_routes_certify_their_first_cut(route, N, t, max_evals, monkeypatch):
+    # the value-sized first cut certifies in one pass, even at N = 200 where
+    # the value is near the float floor; at N = 3, t = 1e4 it costs 5,505
+    # evals, held here with about 10 % headroom
+    evals = _integrate_spy(monkeypatch)
+    route(N, t)
+    assert len(evals) == 1
+    if max_evals is not None:
+        assert evals[0] <= max_evals
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 10, 50, 200])
+def test_log_beta_against_mpmath(N):
+    # from just above the t > N/2 + 1 threshold to t = 1e15, where the plain
+    # lgamma difference is off by a factor 7.9 in B
+    import mpmath
+
+    a = N / 2.0
+    ts = np.concatenate([[a + 1.01, a + 2.5, 9.9, 10.0, 10.1, 25.0],
+                         np.geomspace(a + 1.01, 1e15, 60)])
+    for t in ts[ts > a + 1.0]:
+        with mpmath.workdps(60):
+            ex = mpmath.log(mpmath.beta(mpmath.mpf(a), mpmath.mpf(float(t)) - a))
+            err = float(abs(q.log_beta(a, float(t) - a) - ex))
+        assert err <= 1e-14 + 1e-15 * abs(float(ex)), (t, err)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("t", [10.0, 100.0, 1e3])
+def test_majorant_closed_form_matches_quadrature(N, t):
+    # omega_N (I_{N-1} + J_{N-1}) = omega_N B(N/2, t - N/2) / 2
+    omega = q.surface_area(N)
+    closed = math.exp(math.log(omega) + q.log_beta(N / 2.0, t - N / 2.0) - math.log(2.0))
+    quad = omega * (q.integral_Ip(N - 1, t) + q.integral_Jp(N - 1, t))
+    assert abs(closed - quad) <= 1e-12 * quad
 
 
 def test_optimality_majorant():
