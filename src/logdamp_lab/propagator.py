@@ -9,6 +9,11 @@ closed forms are exposed:
   variant equation whose zeroth-order coefficient is L^2/4 + pi^2/16, so
   against the equation above it carries the exact defect (3 pi^2 / 16) u.
 
+Both are u_hat = e^{-Lt/2} (a_u cos(nu t) + b_u sin(nu t)) and v_hat likewise,
+with coefficients that depend on the radius only through L;
+:func:`closed_form_coefficients` is the one place they are formed, so callers
+that need many times (the energy and L^2 traces) build them once per radius.
+
 The oracle integrates the oscillator as the linear system y' = A y,
 A = [[0, 1], [-c, -L]], one Taylor series per step with a certified
 remainder (Jorba & Zou 2005; Moler & Van Loan 2003), using only L and c, so
@@ -60,30 +65,47 @@ def carrier_frequency(mode) -> float:
     return math.pi / 2.0 if PropagatorMode(mode) is PropagatorMode.ODE else math.pi / 4.0
 
 
+def closed_form_coefficients(u0, u1, L, mode=PropagatorMode.ODE):
+    """(a_u, b_u, a_v, b_v) with u_hat = e^{-Lt/2} (a_u c + b_u s) and
+    v_hat = e^{-Lt/2} (a_v c + b_v s), c = cos(nu t), s = sin(nu t).
+
+    The one place a mode is normalised:
+        a_u = u0,  b_u = (u1 + L u0 / 2) / nu,
+        a_v = u1,  b_v = -((L^2/4 + nu^2) u0 + L u1 / 2) / nu,
+    nu = pi/2 ("ode") or pi/4 ("paper"; b_u is then the familiar
+    (2L/pi) u0 + (4/pi) u1).  The coefficients depend on the radius only
+    through L, so a caller that needs many times builds them once per radius.
+    Broadcasts over u0, u1 and L; real data give real coefficients.
+    """
+    nu = carrier_frequency(mode)
+    dtype = np.result_type(u0, u1, float)
+    u0 = np.asarray(u0, dtype=dtype)
+    u1 = np.asarray(u1, dtype=dtype)
+    L = np.asarray(L, dtype=float)
+    b_u = (u1 + 0.5 * L * u0) / nu
+    b_v = -((0.25 * L * L + nu * nu) / nu * u0 + 0.5 * L / nu * u1)
+    return u0, b_u, u1, b_v
+
+
 def propagate_closed(u0, u1, r, t, mode=PropagatorMode.ODE) -> SpectralState:
     """Closed-form state at time t from data (u0, u1) at radius r.
 
-    u_hat   = e^{-Lt/2} [ u0 cos(nu t) + (u1 + L u0 / 2) sin(nu t) / nu ]
-    with nu = pi/2 ("ode") or pi/4 ("paper"; the sin coefficient then equals
-    the familiar (2L/pi) u0 + (4/pi) u1 form).  The derivative is the exact
-    analytic one, so the returned pair solves the mode's own equation with no
-    discretisation error.  Broadcasts over r and t.  Real data give a real
-    state, complex data a complex one.
+    u_hat = e^{-Lt/2} (a_u cos(nu t) + b_u sin(nu t)), v_hat likewise, with
+    the coefficients of :func:`closed_form_coefficients`.  The derivative is
+    the exact analytic one, so the returned pair solves the mode's own
+    equation with no discretisation error.  Broadcasts over r and t.  Real
+    data give a real state, complex data a complex one.
     """
     nu = carrier_frequency(mode)
     L = np.asarray(log_symbol(r), dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("requires t >= 0")
-    dtype = np.result_type(u0, u1, float)
-    u0 = np.asarray(u0, dtype=dtype)
-    u1 = np.asarray(u1, dtype=dtype)
+    a_u, b_u, a_v, b_v = closed_form_coefficients(u0, u1, L, mode)
 
     env = np.exp(-0.5 * L * t)
     c, s = np.cos(nu * t), np.sin(nu * t)
-    u = env * (u0 * c + (u1 + 0.5 * L * u0) * s / nu)
-    v = env * (u1 * c - ((0.25 * L * L + nu * nu) / nu * u0 + 0.5 * L / nu * u1) * s)
-    return SpectralState(_unbox(u), _unbox(v))
+    return SpectralState(_unbox(env * (a_u * c + b_u * s)), _unbox(env * (a_v * c + b_v * s)))
 
 
 def closed_form_defect(u0, u1, r, t, mode=PropagatorMode.ODE):

@@ -6,7 +6,8 @@ import pytest
 
 from logdamp_lab import experiments as xp
 from logdamp_lab.data_catalog import make_profile
-from logdamp_lab.propagator import OdeConfig, PropagatorMode, carrier_frequency, oracle_grid
+from logdamp_lab.propagator import OdeConfig, PropagatorMode, carrier_frequency, \
+    closed_form_coefficients, oracle_grid, propagate_closed
 from logdamp_lab.quadrature import integrate, surface_area
 from logdamp_lab.symbols import PI_SQ
 
@@ -148,6 +149,95 @@ def test_mixed_nonradial_data_rejected(gaussian):
     zero3 = make_profile("zero", N=3)
     val = xp.l2_value(zero3, shifted, 3, 1.0, PropagatorMode.ODE)
     assert val > 0
+
+
+_WEIGHTS = {
+    "energy": (lambda L: 0.25 * (L * L + PI_SQ), lambda L: np.ones_like(L)),
+    "l2": (lambda L: np.ones_like(L), None),
+    "dissipation": (None, lambda L: L),
+}
+
+
+@pytest.mark.parametrize("mode", list(PropagatorMode))
+@pytest.mark.parametrize("data", ["zero,gaussian", "gaussian,zero_mean_pair",
+                                  "zero,shifted_gaussian", "shifted_gaussian,zero"])
+def test_factored_density_matches_propagate_closed(data, mode):
+    # e^{-Lt} (k0 c^2 + k1 2cs + k2 s^2) r^{N-1} against wu|u|^2 + wv|v|^2 of the
+    # full closed-form state.  u and v vanish along curves in (r, t), where
+    # both routes lose relative accuracy, so the error is held to the density's
+    # largest value over the carrier phase, e^{-Lt} r^{N-1} sum w (a^2 + b^2);
+    # the energy density is positive definite and also holds pointwise.
+    N = 3
+    p0, p1 = (make_profile(k, N=N) for k in data.split(","))
+    h0, h1 = xp._radial_hat_pair(p0, p1)
+    r = np.linspace(0.0, 20.0, 401)
+    L = np.log1p(r * r)
+    coef = closed_form_coefficients(h0(r), h1(r), L, mode)
+    for wu, wv in _WEIGHTS.values():
+        for t in (0.0, 3.3, np.array([0.0, 0.7, 3.3, 12.5, 40.0])):
+            t = np.asarray(t)
+            got = xp._quadratic_density(h0, h1, N, t, mode, wu, wv)(r)
+            t_col = t.reshape(-1, 1) if t.ndim else t
+            st = propagate_closed(h0(r), h1(r), r, t_col, mode)
+            want, scale = 0.0, 0.0
+            for w, x, a, b in ((wu, st.u_hat, *coef[:2]), (wv, st.v_hat, *coef[2:])):
+                if w is not None:
+                    want, scale = want + w(L) * x * x, scale + w(L) * (a * a + b * b)
+            rn = np.power(r, N - 1)
+            want, scale = (want * rn).T, (scale * np.exp(-L * t_col) * rn).T
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+            if wu is not None and wv is not None:
+                assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def test_trace_integrals_take_their_seed_panels_only(monkeypatch):
+    # 32 geometric seed panels; no energy or L^2 trace of the decay grids
+    # bisects, which is what keeps every trace value bit for bit equal to its
+    # scalar integral
+    data = [("gaussian", dict(a=a)) for a in (0.5, 2.0)] + [("zero_mean_pair", {})] + \
+        [("shifted_gaussian", dict(offset=c)) for c in (0.25, 1.0)]
+    profiles = [(N, make_profile("zero", N=N), make_profile(k, N=N, **kw))
+                for N in (3, 5) for k, kw in data]
+    evals = []
+    real_integrate = xp.quadrature.integrate
+
+    def spy(*args, **kwargs):
+        res = real_integrate(*args, **kwargs)
+        evals.append(res.evals)
+        return res
+
+    monkeypatch.setattr(xp.quadrature, "integrate", spy)
+    grid = xp.TimeGrid(100.0, 10_000.0, 200)
+    for mode in PropagatorMode:
+        peaks = xp.carrier_peak_times(100.0, 10_000.0, 200, mode)
+        for N, p0, p1 in profiles:
+            xp.energy_trace(p0, p1, N, grid, mode)
+            xp.l2_trace(p0, p1, N, peaks, mode)
+    assert evals == [15 * 32] * 40
+
+
+@pytest.mark.parametrize("value", [xp.energy_value, xp.l2_value, xp.dissipation_value])
+def test_quadratic_values_refuse_negative_times(zero, gaussian, value):
+    with pytest.raises(ValueError, match="t >= 0"):
+        value(zero, gaussian, 3, -0.5, PropagatorMode.ODE)
+    with pytest.raises(ValueError, match="t >= 0"):
+        value(zero, gaussian, 3, np.array([1.0, -0.5]), PropagatorMode.ODE)
+
+
+def test_traces_need_no_propagate_closed(monkeypatch, zero, gaussian):
+    # the factored density takes the coefficients alone, never the full state
+    def refuse(*args):
+        raise AssertionError("a trace called propagate_closed")
+
+    monkeypatch.setattr(xp, "propagate_closed", refuse)
+    times = np.geomspace(100.0, 10_000.0, 12)
+    for mode in PropagatorMode:
+        assert np.all(xp.energy_trace(zero, gaussian, 3, times, mode).values > 0)
+        assert np.all(xp.l2_trace(zero, gaussian, 3, times, mode).values > 0)
+    assert xp.energy_identity_residual(zero, gaussian, 3, 2.0, PropagatorMode.ODE) < 1e-6
+    # the quarter-frequency mode solves another equation: a residual, not a zero
+    assert xp.energy_identity_residual(zero, gaussian, 3, 2.0, PropagatorMode.PAPER) > 0.1
 
 
 # ---------------------------------------------------------------------------
