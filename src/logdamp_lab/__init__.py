@@ -8,8 +8,7 @@ fits; see the module docstrings for the division of labor.
 
 from .data_catalog import DataProfile, ProfileTerms, make_profile, parse_profile, \
     profile_terms
-from .propagator import OdeConfig, PropagatorMode, StepLimitExceeded, ode_oracle, \
-    propagate_closed
+from .propagator import PropagatorMode, propagate_closed
 from .quadrature import NonConvergence, QuadResult, TailNotBounded, a_const, f_osc, \
     integral_Ip, integral_Jp, integrate, optimality_integral, substitution_oracle
 from .symbols import SpectralState, dissipation_f, dissipation_f_effective, energy_e, \
@@ -17,10 +16,9 @@ from .symbols import SpectralState, dissipation_f, dissipation_f_effective, ener
 
 __all__ = [
     "DataProfile", "ProfileTerms", "make_profile", "parse_profile", "profile_terms",
-    "OdeConfig", "PropagatorMode", "StepLimitExceeded", "ode_oracle",
-    "propagate_closed", "NonConvergence", "QuadResult", "TailNotBounded", "a_const",
-    "f_osc", "integral_Ip", "integral_Jp", "integrate", "optimality_integral",
-    "substitution_oracle", "SpectralState", "dissipation_f",
+    "PropagatorMode", "propagate_closed", "NonConvergence", "QuadResult",
+    "TailNotBounded", "a_const", "f_osc", "integral_Ip", "integral_Jp", "integrate",
+    "optimality_integral", "substitution_oracle", "SpectralState", "dissipation_f",
     "dissipation_f_effective", "energy_e", "energy_e0", "log_symbol", "phi", "rho",
     "source_r",
 ]

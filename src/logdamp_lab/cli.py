@@ -203,7 +203,7 @@ def _dispatch(cfg: RunConfig) -> list[ExperimentReport]:
     if cfg.command == "optimality":
         return [run_optimality(cfg.N, cfg.tgrid, cfg.seed)]
     if cfg.command == "lemmas":
-        return [run_lemmas(cfg.N, cfg.mode, cfg.seed)]
+        return [run_lemmas(cfg.N, cfg.seed)]
     if cfg.command == "all":
         return run_all(cfg.profile_u0, cfg.profile_u1, cfg.N, cfg.mode,
                        cfg.tgrid, cfg.seed, cfg.tol)

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import quadrature
 from .data_catalog import DataProfile, profile_terms
-from .propagator import OdeConfig, PropagatorMode, carrier_frequency, \
-    closed_form_coefficients, closed_form_defect, oracle_grid, propagate_closed
+from .propagator import PropagatorMode, carrier_frequency, closed_form_coefficients, \
+    closed_form_defect, oracle_grid, propagate_closed
 from .symbols import PI_SQ, SpectralState, dissipation_f, dissipation_f_effective, \
     energy_e, energy_e0, phi, source_r
 
@@ -411,18 +411,15 @@ def optimality_trace(N, tgrid):
 # rate fitting
 
 
-def fit_rate(trace: Trace, model: str = "power", window=None) -> DecayFit:
-    """Least-squares decay rate in transformed coordinates.
+def fit_rate(trace: Trace, model: str = "power") -> DecayFit:
+    """Least-squares decay rate in transformed coordinates over the whole trace.
 
-    power: slope of log(value) against log(t); exponential: against t.
+    power: slope of log(value) against log(t); exponential: against t.  The
+    fit's window is the trace's time span.
     """
     if model not in ("power", "exponential"):
         raise ValueError(f"unknown model {model!r}")
-    t_lo, t_hi = window if window is not None else (trace.times[0], trace.times[-1])
-    if t_lo > t_hi:
-        raise ValueError("inverted window")
-    mask = (trace.times >= t_lo) & (trace.times <= t_hi)
-    ts, vs = trace.times[mask], trace.values[mask]
+    ts, vs = trace.times, trace.values
     if len(ts) < 8:
         raise InsufficientData(f"{len(ts)} samples in window, need >= 8")
     bad = np.count_nonzero(ts <= 0) if model == "power" else 0
@@ -439,7 +436,7 @@ def fit_rate(trace: Trace, model: str = "power", window=None) -> DecayFit:
     resid = y - np.polyval(coeffs, x)
     return DecayFit(
         model=model, rate=float(coeffs[0]), intercept=float(coeffs[1]),
-        max_residual=float(np.max(np.abs(resid))), window=(float(t_lo), float(t_hi)),
+        max_residual=float(np.max(np.abs(resid))), window=(float(ts[0]), float(ts[-1])),
         trace_label=trace.label,
     )
 
@@ -453,36 +450,34 @@ def _random_states(rng, n):
             rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def _solution_grid(rng, mode, n_radii=200, n_times=100, n_states=10):
-    """Exact solutions from n_states random data on the sweeps' grid.
+def _solution_grid(rng):
+    """Exact "ode"-mode solutions from 10 random data on the sweeps' grid.
 
     Returns (u0, u1, radii, times, state_t), broadcast as (state, radius,
-    time) over radii in [0, 10] and times in [0, 20].
+    time) over 200 radii in [0, 10] and 100 times in [0, 20].
     """
-    if PropagatorMode(mode) is not PropagatorMode.ODE:
-        raise ValueError("the sweep is defined for the equation-consistent mode")
-    radii = np.linspace(0.0, 10.0, n_radii).reshape(1, -1, 1)
-    times = np.linspace(0.0, 20.0, n_times).reshape(1, 1, -1)
-    su, sv = _random_states(rng, n_states)
+    radii = np.linspace(0.0, 10.0, 200).reshape(1, -1, 1)
+    times = np.linspace(0.0, 20.0, 100).reshape(1, 1, -1)
+    su, sv = _random_states(rng, 10)
     u0, u1 = su.reshape(-1, 1, 1), sv.reshape(-1, 1, 1)
-    return u0, u1, radii, times, propagate_closed(u0, u1, radii, times, mode)
+    return u0, u1, radii, times, propagate_closed(u0, u1, radii, times)
 
 
-def inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0, n_radii=200, n_times=100,
-                     n_states=10, n_algebraic=10_000) -> list:
+def inequality_sweep(seed=0) -> list:
     """The three pointwise inequality families, plus the algebraic step that
     certifies the decay-rate envelope.
 
     Returns a list of Check with worst margins; all quantities are evaluated
-    along exact solutions on a deterministic (radius, time, state) grid.
+    along exact "ode"-mode solutions on a deterministic (radius, time, state)
+    grid.  The frequency-side quantities do not depend on N.
     """
     rng = np.random.default_rng(seed)
     tol_eq = 1e-12
     checks = []
 
     # (a) algebraic equivalence on random states (solutions not required)
-    u, v = _random_states(rng, n_algebraic)
-    r = rng.uniform(0.0, 50.0, n_algebraic)
+    u, v = _random_states(rng, 10_000)
+    r = rng.uniform(0.0, 50.0, 10_000)
     st = SpectralState(u, v)
     e0 = energy_e0(st, r)
     e = energy_e(st, r)
@@ -490,7 +485,7 @@ def inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0, n_radii=200, n_times=
     upper = float(np.min(2.25 * e0 - e))
     margin = min(lower, upper)
     checks.append(Check(
-        f"energy-equivalence: E0/2 <= E <= 9E0/4 on {n_algebraic} random states",
+        "energy-equivalence: E0/2 <= E <= 9E0/4 on 10000 random states",
         margin >= -tol_eq, margin))
 
     # (b) the algebraic decay step: R - F + phi E <= 0 for any state
@@ -500,7 +495,7 @@ def inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0, n_radii=200, n_times=
         lyap <= tol_eq, -lyap))
 
     # (c) pointwise families along solutions on a deterministic grid
-    u0, u1, radii, times, st_t = _solution_grid(rng, mode, n_radii, n_times, n_states)
+    u0, u1, radii, times, st_t = _solution_grid(rng)
     e0_t = energy_e0(st_t, radii)
     e0_0 = energy_e0(SpectralState(u0, u1), radii)
     ph = phi(radii)
@@ -525,7 +520,7 @@ def inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0, n_radii=200, n_times=
     return checks
 
 
-def differential_inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0) -> Check:
+def differential_inequality_sweep(seed=0) -> Check:
     """Worst value of dE/dt + phi E along exact solutions.
 
     The derivative is evaluated through the exact budget
@@ -535,7 +530,7 @@ def differential_inequality_sweep(N=3, mode=PropagatorMode.ODE, seed=0) -> Check
     even though the integrated envelope holds.
     """
     rng = np.random.default_rng(seed)
-    _, _, radii, _, st_t = _solution_grid(rng, mode)
+    _, _, radii, _, st_t = _solution_grid(rng)
     de_dt = source_r(st_t, radii) - dissipation_f_effective(st_t, radii)
     worst = float(np.max(de_dt + phi(radii) * energy_e(st_t, radii)))
     return Check("differential-decay: dE/dt + phi*E <= 1e-10 along solutions",
@@ -559,7 +554,7 @@ def run_simulate(p0, p1, N, mode, tgrid, seed=0, rel_tol=1e-9) -> ExperimentRepo
     radii = np.linspace(0.0, 10.0, 21)
     t_out = np.array([0.5, 2.0, 5.0, 10.0, 20.0])
     u0s, u1s = (x.reshape(-1, 1) for x in _random_states(rng, 5))
-    ou, ov = oracle_grid(u0s, u1s, radii, t_out, OdeConfig(tol=1e-11))
+    ou, ov = oracle_grid(u0s, u1s, radii, t_out)
     st = propagate_closed(u0s, u1s, radii, t_out.reshape(-1, 1, 1), PropagatorMode.ODE)
     scale = np.maximum(np.maximum(np.abs(st.u_hat), np.abs(st.v_hat)), 1e-300)
     worst = float(np.max(np.maximum(np.abs(ou - st.u_hat), np.abs(ov - st.v_hat)) / scale))
@@ -736,12 +731,14 @@ def run_optimality(N, tgrid, seed=0) -> ExperimentReport:
     return rep
 
 
-def run_lemmas(N=3, mode=PropagatorMode.ODE, seed=0) -> ExperimentReport:
+def run_lemmas(N=3, seed=0) -> ExperimentReport:
+    """Inequality sweeps and model-integral anchors; the sweeps are defined for
+    mode "ode" only."""
     rep = ExperimentReport(
         name="lemmas",
-        parameters={"N": N, "mode": PropagatorMode(mode).value, "seed": seed},
+        parameters={"N": N, "mode": PropagatorMode.ODE.value, "seed": seed},
     )
-    rep.checks += inequality_sweep(N=N, mode=mode, seed=seed)
+    rep.checks += inequality_sweep(seed=seed)
 
     worst = 0.0
     for t in (2.0, 5.0, 11.0, 101.0):
@@ -792,7 +789,7 @@ def run_all(p0, p1, N, mode, tgrid, seed=0, rel_tol=1e-9) -> list[ExperimentRepo
         run_decay(p0, p1, N, mode, tgrid, seed, rel_tol),
         run_profile(p1, N, tgrid, seed, rel_tol),
         run_optimality(N, tgrid, seed),
-        run_lemmas(N, mode, seed),
+        run_lemmas(N, seed),
     ]
 
 

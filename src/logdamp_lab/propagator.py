@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -44,20 +43,6 @@ class PropagatorMode(str, Enum):
     def _missing_(cls, value):
         if isinstance(value, str):
             return cls.__members__.get(value.upper())
-
-
-class StepLimitExceeded(Exception):
-    """The oracle hit its step budget before reaching the requested time."""
-
-
-@dataclass(frozen=True)
-class OdeConfig:
-    tol: float = 1e-10
-    max_steps: int = 1_000_000
-
-    def __post_init__(self):
-        if self.tol <= 0 or self.max_steps <= 0:
-            raise ValueError("tol and max_steps must be positive")
 
 
 def carrier_frequency(mode) -> float:
@@ -111,36 +96,45 @@ def propagate_closed(u0, u1, r, t, mode=PropagatorMode.ODE) -> SpectralState:
 def closed_form_defect(u0, u1, r, t, mode=PropagatorMode.ODE):
     """Residual of the closed form in u'' + L u' + (L^2 + pi^2)/4 u = 0.
 
-    Uses the analytically differentiated second derivative.  Identically zero
-    in "ode" mode; in "paper" mode it equals (3 pi^2 / 16) u_hat, which is
-    reported by callers rather than asserted away.
+    u and u' = v are the state of :func:`propagate_closed`; u'' is the time
+    derivative of the closed-form v, taken from the coefficients of
+    :func:`closed_form_coefficients`, so a state that is not the solution of
+    those coefficients shows up as a defect.  Zero to rounding in "ode" mode;
+    in "paper" mode it equals (3 pi^2 / 16) u_hat, which is reported by
+    callers rather than asserted away.
     """
     nu = carrier_frequency(mode)
     st = propagate_closed(u0, u1, r, t, mode)
     L = np.asarray(log_symbol(r), dtype=float)
-    # second derivative from the mode's own oscillator: u'' = -L u' - c_mode u
-    c_mode = 0.25 * L * L + nu * nu
-    u_acc = -L * np.asarray(st.v_hat) - c_mode * np.asarray(st.u_hat)
-    out = u_acc + L * np.asarray(st.v_hat) + 0.25 * (L * L + PI_SQ) * np.asarray(st.u_hat)
-    return _unbox(out)
+    t = np.asarray(t, dtype=float)
+    _, _, a_v, b_v = closed_form_coefficients(u0, u1, L, mode)
+    c, s = np.cos(nu * t), np.sin(nu * t)
+    u_acc = np.exp(-0.5 * L * t) * ((nu * b_v - 0.5 * L * a_v) * c
+                                    - (nu * a_v + 0.5 * L * b_v) * s)
+    u_hat, v_hat = np.asarray(st.u_hat), np.asarray(st.v_hat)
+    return _unbox(u_acc + L * v_hat + 0.25 * (L * L + PI_SQ) * u_hat)
 
 
 # h ||A||_inf per step: the bound 4^k/k! on the Taylor terms peaks near 11 at
 # k = 4, so a step loses at most about one digit to rounding.
 _STEP_NORM = 4.0
+# remainder of each Taylor step relative to the state
+_STEP_TOL = 1e-11
+# a run whose step count bound exceeds this is refused before its first step
+_MAX_STEPS = 1_000_000
 
 
-def _taylor_step(u, v, h, L, c, norm, tol):
+def _taylor_step(u, v, h, L, c, norm):
     """y(t+h) = sum_k (hA)^k y / k! for y = (u, v), A = [[0, 1], [-c, -L]].
 
     Term k is (u_k, v_k) = (h v_{k-1}, h (-c u_{k-1} - L v_{k-1})) / k.  With
     norm >= ||A||_inf for every trajectory and q = h norm / (K+1) < 1, term
     K+j is at most |term_K| q^j, so the terms left out sum to at most
     |term_K| q/(1-q).  Terms are added until that bound is at most
-    tol max(|u|, |v|) for every trajectory.  A term that overflows raises
-    OverflowError.
+    _STEP_TOL max(|u|, |v|) for every trajectory.  A term that overflows
+    raises OverflowError.
     """
-    bound = tol * np.maximum(np.abs(u), np.abs(v))
+    bound = _STEP_TOL * np.maximum(np.abs(u), np.abs(v))
     a, b = -h * c, -h * L
     su, sv, du, dv = u, v, u, v
     for k in itertools.count(1):
@@ -155,22 +149,22 @@ def _taylor_step(u, v, h, L, c, norm, tol):
                 raise OverflowError(f"oracle step overflows at Taylor term {k}")
 
 
-def oracle_grid(u0, u1, r, t_values, cfg: OdeConfig | None = None):
+def oracle_grid(u0, u1, r, t_values):
     """Integrate many trajectories at once, reporting at each requested time.
 
     u0, u1, r are broadcast to a common shape (the trajectory batch) and must
     be finite; t_values must be nondecreasing and nonnegative.  Returns (u, v)
     arrays of shape (len(t_values),) + batch.  Every step is one
-    :func:`_taylor_step` of length 4 / max(1, c + L), with c + L at its largest
-    over the batch, shortened only to land on an output time; its remainder is
-    at most cfg.tol relative to each trajectory's state.  A run that needs
-    more than cfg.max_steps steps ends in StepLimitExceeded.
+    :func:`_taylor_step` of the fixed length h = 4 / max(1, c + L), with
+    c + L at its largest over the batch, except the step that lands on each
+    output time; its remainder is at most 1e-11 relative to each trajectory's
+    state.  So a run takes at most t_max / h + len(t_values) steps; one whose
+    bound exceeds a million steps is refused with ValueError before the first.
     """
-    cfg = cfg or OdeConfig()
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1 or len(t_values) == 0:
         raise ValueError("t_values must be a nonempty 1-d array")
-    if np.any(t_values < 0) or np.any(np.diff(t_values) < 0):
+    if not np.all(t_values >= 0) or np.any(np.diff(t_values) < 0):
         raise ValueError("t_values must be nondecreasing and nonnegative")
 
     u, v, rr = np.broadcast_arrays(
@@ -183,26 +177,20 @@ def oracle_grid(u0, u1, r, t_values, cfg: OdeConfig | None = None):
     c = 0.25 * (L * L + PI_SQ)
     norm = max(1.0, float(np.max(c + L)))  # ||A||_inf over the batch
     h = _STEP_NORM / norm
+    t_max = float(t_values[-1])
+    n_steps = t_max / h + len(t_values)
+    if n_steps > _MAX_STEPS:
+        raise ValueError(f"oracle needs up to {n_steps:.0f} steps of length {h:.3g} "
+                         f"to reach t={t_max:g}, over its budget of {_MAX_STEPS}")
 
     out_u = np.empty((len(t_values),) + u.shape, dtype=complex)
     out_v = np.empty_like(out_u)
 
-    now, steps = 0.0, 0
+    now = 0.0
     for k, t_out in enumerate(t_values):
         while now < t_out:
-            if steps >= cfg.max_steps:
-                raise StepLimitExceeded(f"budget {cfg.max_steps} reached at t={now}")
             step = min(h, t_out - now)
-            u, v = _taylor_step(u, v, step, L, c, norm, cfg.tol)
+            u, v = _taylor_step(u, v, step, L, c, norm)
             now = t_out if step == t_out - now else now + step
-            steps += 1
         out_u[k], out_v[k] = u, v
     return out_u, out_v
-
-
-def ode_oracle(u0, u1, r, t, cfg: OdeConfig | None = None) -> SpectralState:
-    """Numerical solution at time t, independent of the closed forms."""
-    if t < 0:
-        raise ValueError("requires t >= 0")
-    ou, ov = oracle_grid(complex(u0), complex(u1), float(r), np.array([float(t)]), cfg)
-    return SpectralState(complex(ou[0]), complex(ov[0]))

@@ -205,7 +205,11 @@ def integrate(
                              f"{max_panels}")
     vals, errs = _panel_values(f, lo, hi)
     evals = 15 * len(lo)
-    # scalars keep their own loop: merged, bisection-heavy ones ran 1.4-1.8x slower
+    # Scalars keep their own loop.  Routed through _integrate_components they
+    # give the same bits but run slower (one Intel Xeon core): exp(-x^2) on
+    # [0, 3] with no bisection 72 -> 98 us, sqrt on [0, 1] at rel_tol 1e-13
+    # (23 bisections) 0.54 -> 0.97 ms.  Scalar calls bisect up to about 370
+    # times per pass of the traces-mixed-data benchmark workload.
     if vals.ndim == 2:
         return _integrate_components(f, a, b, tol, rel_tol, max_panels,
                                      lo, hi, vals, errs, evals)
@@ -326,10 +330,11 @@ def geom_points(lo: float, hi: float, n: int) -> np.ndarray:
     return x
 
 
-def _geom_fill(lo: float, hi: float, per_decade: int = 8) -> np.ndarray:
+def _geom_fill(lo: float, hi: float) -> np.ndarray:
+    """Geometric seed points from lo to hi, 8 per decade and at least 4."""
     if hi <= lo or lo <= 0:
         return np.empty(0)
-    n = max(4, int(per_decade * math.log10(hi / lo)) + 1)
+    n = max(4, int(8 * math.log10(hi / lo)) + 1)
     return geom_points(lo, hi, n)
 
 

@@ -32,8 +32,7 @@ from logdamp_lab.experiments import (
     energy_identity_residual, energy_trace, fit_rate, inequality_sweep, l2_trace,
     run_optimality, run_profile,
 )
-from logdamp_lab.propagator import OdeConfig, PropagatorMode, oracle_grid, \
-    propagate_closed
+from logdamp_lab.propagator import PropagatorMode, oracle_grid, propagate_closed
 
 PI = math.pi
 N = 3
@@ -85,7 +84,7 @@ def test_c1_oracle_equivalence():
     states_u0 = (rng.standard_normal(20) + 1j * rng.standard_normal(20)).reshape(1, -1)
     states_u1 = (rng.standard_normal(20) + 1j * rng.standard_normal(20)).reshape(1, -1)
     times = np.arange(0.0, 20.25, 0.5)
-    ou, ov = oracle_grid(states_u0, states_u1, radii, times, OdeConfig(tol=1e-10))
+    ou, ov = oracle_grid(states_u0, states_u1, radii, times)
     worst = 0.0
     for i, t in enumerate(times):
         st = propagate_closed(states_u0, states_u1, radii, float(t), "ode")
@@ -106,7 +105,7 @@ def test_c1_oracle_equivalence():
 
 @pytest.fixture(scope="module")
 def sweep_checks():
-    return {c.description: c for c in inequality_sweep(N=N, seed=0)}
+    return {c.description: c for c in inequality_sweep(seed=0)}
 
 
 def test_c2_energy_equivalence(sweep_checks):
@@ -116,7 +115,7 @@ def test_c2_energy_equivalence(sweep_checks):
 
 
 def test_c2_differential_inequality():
-    c = differential_inequality_sweep(N=N, seed=0)
+    c = differential_inequality_sweep(seed=0)
     worst = 1e-10 - c.margin
     _line("C2.differential", c.passed,
           f"worst dE/dt + phi E = {worst:.6f} along solutions (required <= 1e-10)")

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logdamp_lab import cli
+from logdamp_lab import cli, data_catalog, experiments, propagator, quadrature, symbols
 from logdamp_lab.experiments import TimeGrid, run_lemmas
 from logdamp_lab.propagator import PropagatorMode
 
@@ -66,6 +66,24 @@ def test_too_few_samples_for_a_fit_is_config_error(tmp_path):
     res = _invoke(["decay", "--t-count", "4", "--out", str(tmp_path)])
     assert res.exit_code == 1
     assert "config error" in res.output
+
+
+def test_run_turns_every_lab_exception_into_config_invalid(tmp_path, monkeypatch):
+    # a run never ends in a traceback, whichever lab layer raises
+    lab_errors = [obj for mod in (quadrature, experiments, propagator, data_catalog, symbols)
+                  for obj in vars(mod).values()
+                  if isinstance(obj, type) and issubclass(obj, Exception)
+                  and obj.__module__ == mod.__name__]
+    assert lab_errors
+    cfg = cli.build_config("lemmas", {"out": str(tmp_path / "out")})
+    for exc_type in lab_errors:
+        def raising(_cfg, exc_type=exc_type):
+            raise exc_type("raised by the experiment")
+
+        monkeypatch.setattr(cli, "_dispatch", raising)
+        with pytest.raises(cli.ConfigInvalid, match="raised by the experiment"):
+            cli.run(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -213,7 +231,7 @@ def test_determinism_same_seed(tmp_path):
 
 
 def test_emit_plot_script_deterministic():
-    rep = run_lemmas(3, PropagatorMode.ODE, 0)
+    rep = run_lemmas(3, 0)
     s1 = cli.emit_plot_script(rep)
     s2 = cli.emit_plot_script(rep)
     assert s1 == s2

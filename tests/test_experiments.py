@@ -6,7 +6,7 @@ import pytest
 
 from logdamp_lab import experiments as xp
 from logdamp_lab.data_catalog import make_profile
-from logdamp_lab.propagator import OdeConfig, PropagatorMode, carrier_frequency, \
+from logdamp_lab.propagator import PropagatorMode, carrier_frequency, \
     closed_form_coefficients, oracle_grid, propagate_closed
 from logdamp_lab.quadrature import integrate, surface_area
 from logdamp_lab.symbols import PI_SQ
@@ -91,7 +91,7 @@ def test_trace_matches_oracle_recomputation(zero, gaussian):
     hat1 = gaussian.hat_radial(r)
     spot_times = np.array([0.5, 1.5, 3.0, 6.0, 10.0])
     ou, ov = oracle_grid(np.zeros_like(r, dtype=complex), hat1.astype(complex),
-                         r, spot_times, OdeConfig(tol=1e-11))
+                         r, spot_times)
     const = (2.0 * PI) ** -3 * surface_area(3)
     L = np.log1p(r * r)
     for i, t in enumerate(spot_times):
@@ -278,13 +278,11 @@ def test_fit_rate_scale_invariance():
 def test_fit_rate_errors():
     ts = np.geomspace(1.0, 10.0, 10)
     with pytest.raises(xp.InsufficientData):
-        xp.fit_rate(xp.Trace(ts, ts, "x"), "power", window=(1.0, 2.0))
+        xp.fit_rate(xp.Trace(ts[:7], ts[:7], "x"), "power")
     with pytest.raises(xp.NonPositiveValues, match="trace 'x' .* 7 of 10 samples"):
         xp.fit_rate(xp.Trace(ts, ts - 5.0, "x"), "power")
     with pytest.raises(ValueError):
         xp.fit_rate(xp.Trace(ts, ts, "x"), "cubic")
-    with pytest.raises(ValueError):
-        xp.fit_rate(xp.Trace(ts, ts, "x"), "power", window=(5.0, 1.0))
 
 
 def test_fit_rate_power_refuses_times_at_or_below_zero():
@@ -298,29 +296,15 @@ def test_fit_rate_power_refuses_times_at_or_below_zero():
     assert abs(xp.fit_rate(tr, "exponential").rate + 0.01) < 1e-12
 
 
-def test_fit_rate_window_subselection():
-    ts = np.geomspace(1.0, 1000.0, 40)
-    vals = ts ** -2.0
-    vals[ts < 10.0] *= 3.0  # contaminate outside the window
-    fit = xp.fit_rate(xp.Trace(ts, vals, "w"), "power", window=(10.0, 1000.0))
-    assert abs(fit.rate + 2.0) < 1e-9
-    assert fit.window == (10.0, 1000.0)
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
 
 def test_inequality_sweep_all_pass():
-    checks = xp.inequality_sweep(N=3, seed=0)
+    checks = xp.inequality_sweep(seed=0)
     assert len(checks) == 5
     for c in checks:
         assert c.passed, c.description
-
-
-def test_inequality_sweep_rejects_paper_mode():
-    with pytest.raises(ValueError):
-        xp.inequality_sweep(mode=PropagatorMode.PAPER)
 
 
 def test_differential_sweep_measures_the_known_violation():
