@@ -197,11 +197,11 @@ def _dispatch(cfg: RunConfig) -> list[ExperimentReport]:
                              cfg.tgrid, cfg.seed, cfg.tol)]
     if cfg.command == "decay":
         return [run_decay(cfg.profile_u0, cfg.profile_u1, cfg.N, cfg.mode,
-                          cfg.tgrid, cfg.seed, cfg.tol)]
+                          cfg.tgrid, cfg.tol)]
     if cfg.command == "profile":
-        return [run_profile(cfg.profile_u1, cfg.N, cfg.tgrid, cfg.seed, cfg.tol)]
+        return [run_profile(cfg.profile_u1, cfg.N, cfg.tgrid, cfg.tol)]
     if cfg.command == "optimality":
-        return [run_optimality(cfg.N, cfg.tgrid, cfg.seed)]
+        return [run_optimality(cfg.N, cfg.tgrid)]
     if cfg.command == "lemmas":
         return [run_lemmas(cfg.N, cfg.seed)]
     if cfg.command == "all":

@@ -1,10 +1,11 @@
 """Initial-datum profiles with analytic Fourier transforms.
 
-The catalog is deliberately Gaussian-only so that the transform, the mass and
-the plain L^2 norm all have closed forms (transform convention
-F f(xi) = int f(x) e^{-i x.xi} dx, under which hat(0) equals the mass).  The
-weighted L^{1,1} norm falls back to radial quadrature where no closed form
-exists.
+The catalog is deliberately Gaussian-only so that the radial transform and the
+mass have closed forms (transform convention F f(xi) = int f(x) e^{-i x.xi} dx,
+under which hat(0) equals the mass); the L^{1,1} norm falls back to radial
+quadrature where no closed form exists.  Of a non-radial datum only |hat| is
+kept: paired with a zero datum, every quadratic quantity sees it through |hat|
+alone, and the experiments that need the signed transform refuse it.
 
 Profiles are immutable; all evaluation is pure.
 """
@@ -25,21 +26,19 @@ from .symbols import log_symbol
 class DataProfile:
     """An initial datum, described entirely on the frequency side.
 
-    hat maps a frequency vector (shape (N,) or (..., N)) to the transform
-    value; hat_radial is the real-valued radial restriction and is None for
-    non-radial data; hat_abs_radial gives |hat| as a function of the radius
-    (available for every catalog entry).  envelope = (A, alpha) certifies
-    |hat(xi)| <= A exp(-alpha |xi|^2) for tail cutoffs.
+    hat_radial is the real-valued transform as a function of the radius and is
+    None for non-radial data; hat_abs_radial gives |hat| as a function of the
+    radius (available for every catalog entry).  l11 = ||u||_{L^{1,1}} =
+    int (1 + |x|) |u| is None for non-radial data: its one reader, the profile
+    experiment, refuses them.  envelope = (A, alpha) certifies |hat(xi)| <= A exp(-alpha |xi|^2)
+    for tail cutoffs.
     """
 
     kind: str
     N: int
     params: tuple
     P1: float
-    l1: float
-    l11: float
-    l2: float
-    hat: Callable = field(repr=False)
+    l11: float | None
     hat_radial: Callable | None = field(repr=False)
     hat_abs_radial: Callable = field(repr=False)
     envelope: tuple[float, float] = (0.0, 1.0)
@@ -65,22 +64,6 @@ class ProfileTerms:
     f1: complex
     f2: complex
     f3: complex
-
-
-def _sphere_mean_abs_shift(r, c: float, N: int) -> np.ndarray:
-    # mean of |y + c e1| over the sphere |y| = r, at every radius of the 1-d
-    # array r, via one vector polar-angle integral (a component per radius)
-    # with the sqrt-endpoint weight smoothed by u = sin(theta)
-    r = np.asarray(r, dtype=float)
-
-    def g(theta):
-        s = np.sin(theta)
-        return (np.sqrt(r * r + c * c + 2.0 * r * c * s[:, None])
-                * (np.cos(theta) ** (N - 2))[:, None])
-
-    num = quadrature.integrate(g, -math.pi / 2, math.pi / 2, tol=1e-12, rel_tol=1e-11).value
-    den = math.sqrt(math.pi) * math.exp(math.lgamma(0.5 * (N - 1)) - math.lgamma(0.5 * N))
-    return np.where(r == 0.0, c, num / den)
 
 
 def _weighted_radial_norm(u_abs: Callable, N: int, r_hi: float,
@@ -113,8 +96,7 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
             raise ValueError(f"unknown zero parameters: {sorted(params)}")
         zero_r = lambda r: np.zeros_like(np.asarray(r, dtype=float))
         return DataProfile(
-            kind="zero", N=N, params=(), P1=0.0, l1=0.0, l11=0.0, l2=0.0,
-            hat=lambda xi: np.zeros(np.asarray(xi, dtype=float).shape[:-1]),
+            kind="zero", N=N, params=(), P1=0.0, l11=0.0,
             hat_radial=zero_r, hat_abs_radial=zero_r, envelope=(0.0, 1.0),
         )
 
@@ -129,18 +111,12 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
         def hat_r(r, amp=amp, a=a):
             return amp * np.exp(-np.asarray(r, dtype=float) ** 2 / (4.0 * a))
 
-        def hat(xi, hat_r=hat_r):
-            xi = np.asarray(xi, dtype=float)
-            return hat_r(np.linalg.norm(xi, axis=-1)) + 0.0j
-
         l11 = amp + quadrature.surface_area(N) * math.exp(
             math.lgamma(0.5 * (N + 1))
         ) / (2.0 * a ** (0.5 * (N + 1)))
         return DataProfile(
-            kind="gaussian", N=N, params=(("a", a),), P1=amp, l1=amp, l11=l11,
-            l2=math.sqrt((math.pi / (2.0 * a)) ** (N / 2.0)),
-            hat=hat, hat_radial=hat_r,
-            hat_abs_radial=hat_r, envelope=(amp, 1.0 / (4.0 * a)),
+            kind="gaussian", N=N, params=(("a", a),), P1=amp, l11=l11,
+            hat_radial=hat_r, hat_abs_radial=hat_r, envelope=(amp, 1.0 / (4.0 * a)),
         )
 
     if kind == "zero_mean_pair":
@@ -153,26 +129,15 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
             # e^{-r^2/4} - e^{-r^2/8} without the cancellation at small r
             return amp * np.exp(-r * r / 8.0) * np.expm1(-r * r / 8.0)
 
-        def hat(xi, hat_r=hat_r):
-            xi = np.asarray(xi, dtype=float)
-            return hat_r(np.linalg.norm(xi, axis=-1)) + 0.0j
-
         def u_abs(r):
             r = np.asarray(r, dtype=float)
             return np.abs(np.exp(-r * r) - 2.0 ** (N / 2.0) * np.exp(-2.0 * r * r))
 
         r_star = math.sqrt(0.5 * N * math.log(2.0))  # sign change of the datum
         l1, first_moment = _weighted_radial_norm(u_abs, N, 14.0, breakpoints=[r_star])
-        l2_sq = (
-            (math.pi / 2.0) ** (N / 2.0)
-            - 2.0 * 2.0 ** (N / 2.0) * (math.pi / 3.0) ** (N / 2.0)
-            + 2.0 ** N * (math.pi / 4.0) ** (N / 2.0)
-        )
         return DataProfile(
-            kind="zero_mean_pair", N=N, params=(), P1=0.0, l1=l1,
-            l11=l1 + first_moment, l2=math.sqrt(l2_sq),
-            hat=hat, hat_radial=hat_r,
-            hat_abs_radial=lambda r: np.abs(hat_r(r)),
+            kind="zero_mean_pair", N=N, params=(), P1=0.0, l11=l1 + first_moment,
+            hat_radial=hat_r, hat_abs_radial=lambda r: np.abs(hat_r(r)),
             envelope=(amp, 1.0 / 8.0),
         )
 
@@ -184,25 +149,13 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
             raise ValueError("offset must be nonnegative")
         amp = math.pi ** (N / 2.0)
 
-        def hat(xi, amp=amp, c=c):
-            xi = np.asarray(xi, dtype=float)
-            rsq = np.sum(xi * xi, axis=-1)
-            return amp * np.exp(-rsq / 4.0) * np.exp(-1j * c * xi[..., 0])
-
+        # the offset only turns the phase of hat, which no experiment reads
         def hat_abs(r, amp=amp):
             return amp * np.exp(-np.asarray(r, dtype=float) ** 2 / 4.0)
 
-        def outer(r):
-            return _sphere_mean_abs_shift(r, c, N) * np.exp(-r * r) * np.power(r, N - 1)
-
-        first_moment = quadrature.surface_area(N) * quadrature.integrate(
-            outer, 0.0, 10.0, tol=1e-11, rel_tol=1e-9
-        ).value
         return DataProfile(
-            kind="shifted_gaussian", N=N, params=(("offset", c),), P1=amp, l1=amp,
-            l11=amp + first_moment, l2=math.sqrt((math.pi / 2.0) ** (N / 2.0)),
-            hat=hat, hat_radial=None, hat_abs_radial=hat_abs,
-            envelope=(amp, 0.25),
+            kind="shifted_gaussian", N=N, params=(("offset", c),), P1=amp, l11=None,
+            hat_radial=None, hat_abs_radial=hat_abs, envelope=(amp, 0.25),
         )
 
     raise ValueError(f"unknown profile kind {kind!r}")

@@ -585,10 +585,10 @@ def run_simulate(p0, p1, N, mode, tgrid, seed=0, rel_tol=1e-9) -> ExperimentRepo
     return rep
 
 
-def run_decay(p0, p1, N, mode, tgrid, seed=0, rel_tol=1e-9) -> ExperimentReport:
+def run_decay(p0, p1, N, mode, tgrid, rel_tol=1e-9) -> ExperimentReport:
     rep = ExperimentReport(
         name="decay",
-        parameters={"N": N, "mode": PropagatorMode(mode).value, "seed": seed,
+        parameters={"N": N, "mode": PropagatorMode(mode).value,
                     "u0": p0.label, "u1": p1.label},
     )
     e_tr = energy_trace(p0, p1, N, tgrid, mode, rel_tol)
@@ -628,12 +628,12 @@ def run_decay(p0, p1, N, mode, tgrid, seed=0, rel_tol=1e-9) -> ExperimentReport:
     return rep
 
 
-def run_profile(p1, N, tgrid, seed=0, rel_tol=1e-9) -> ExperimentReport:
+def run_profile(p1, N, tgrid, rel_tol=1e-9) -> ExperimentReport:
     """Leading-term error experiment, quarter-frequency mode, u0 = 0."""
     mode = PropagatorMode.PAPER
     rep = ExperimentReport(
         name="profile",
-        parameters={"N": N, "mode": mode.value, "seed": seed, "u1": p1.label},
+        parameters={"N": N, "mode": mode.value, "u1": p1.label},
     )
     # a zero-mass datum leaves only the carrier-locked term, which vanishes on
     # a periodic time set; sample its envelope at carrier peaks
@@ -710,8 +710,8 @@ def run_profile(p1, N, tgrid, seed=0, rel_tol=1e-9) -> ExperimentReport:
     return rep
 
 
-def run_optimality(N, tgrid, seed=0) -> ExperimentReport:
-    rep = ExperimentReport(name="optimality", parameters={"N": N, "seed": seed})
+def run_optimality(N, tgrid) -> ExperimentReport:
+    rep = ExperimentReport(name="optimality", parameters={"N": N})
     t_raw, t_norm, checks, (a_n, f_end) = optimality_trace(N, tgrid)
     rep.traces += [t_raw, t_norm]
     rep.checks += checks
@@ -786,9 +786,9 @@ def run_lemmas(N=3, seed=0) -> ExperimentReport:
 def run_all(p0, p1, N, mode, tgrid, seed=0, rel_tol=1e-9) -> list[ExperimentReport]:
     return [
         run_simulate(p0, p1, N, mode, tgrid, seed, rel_tol),
-        run_decay(p0, p1, N, mode, tgrid, seed, rel_tol),
-        run_profile(p1, N, tgrid, seed, rel_tol),
-        run_optimality(N, tgrid, seed),
+        run_decay(p0, p1, N, mode, tgrid, rel_tol),
+        run_profile(p1, N, tgrid, rel_tol),
+        run_optimality(N, tgrid),
         run_lemmas(N, seed),
     ]
 

@@ -208,8 +208,8 @@ def integrate(
     # Scalars keep their own loop.  Routed through _integrate_components they
     # give the same bits but run slower (one Intel Xeon core): exp(-x^2) on
     # [0, 3] with no bisection 72 -> 98 us, sqrt on [0, 1] at rel_tol 1e-13
-    # (23 bisections) 0.54 -> 0.97 ms.  Scalar calls bisect up to about 370
-    # times per pass of the traces-mixed-data benchmark workload.
+    # (23 bisections) 0.54 -> 0.97 ms.  A pass of the traces-mixed-data
+    # benchmark workload makes 1082 scalar calls with 78 bisections in all.
     if vals.ndim == 2:
         return _integrate_components(f, a, b, tol, rel_tol, max_panels,
                                      lo, hi, vals, errs, evals)

@@ -59,12 +59,12 @@ def pair():
 
 @pytest.fixture(scope="module")
 def profile_report(gaussian):
-    return run_profile(gaussian, N, TimeGrid(100.0, 10_000.0, 40), 0)
+    return run_profile(gaussian, N, TimeGrid(100.0, 10_000.0, 40))
 
 
 @pytest.fixture(scope="module")
 def optimality_report():
-    return run_optimality(N, TimeGrid(100.0, 10_000.0, 40), 0)
+    return run_optimality(N, TimeGrid(100.0, 10_000.0, 40))
 
 
 def _check(report, needle):

@@ -240,7 +240,7 @@ def test_emit_plot_script_deterministic():
 
 def test_emit_plot_script_normalized_window_lines():
     from logdamp_lab.experiments import run_optimality
-    rep = run_optimality(3, TimeGrid(100.0, 1000.0, 10), 0)
+    rep = run_optimality(3, TimeGrid(100.0, 1000.0, 10))
     script = cli.emit_plot_script(rep)
     assert "axhline" in script
 

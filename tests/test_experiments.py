@@ -151,6 +151,23 @@ def test_mixed_nonradial_data_rejected(gaussian):
     assert val > 0
 
 
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("mode", list(PropagatorMode))
+def test_shifted_gaussian_traces_equal_unit_gaussian_bit_for_bit(N, mode):
+    # paired with a zero datum, a trace sees the shift only through |hat|,
+    # which is the unit gaussian's transform whatever the offset
+    zero_n = make_profile("zero", N=N)
+    unit = make_profile("gaussian", N=N, a=1.0)
+    times = np.geomspace(1.0, 10_000.0, 12)
+    for trace in (xp.energy_trace, xp.l2_trace):
+        want = [trace(zero_n, unit, N, times, mode).values.tolist(),
+                trace(unit, zero_n, N, times, mode).values.tolist()]
+        for c in (0.0, 0.25, 1.0):
+            shifted = make_profile("shifted_gaussian", N=N, offset=c)
+            assert [trace(zero_n, shifted, N, times, mode).values.tolist(),
+                    trace(shifted, zero_n, N, times, mode).values.tolist()] == want
+
+
 _WEIGHTS = {
     "energy": (lambda L: 0.25 * (L * L + PI_SQ), lambda L: np.ones_like(L)),
     "l2": (lambda L: np.ones_like(L), None),
@@ -377,7 +394,7 @@ def test_profile_error_zero_at_t0(gaussian):
 
 def test_report_writing(tmp_path, zero, gaussian):
     rep = xp.run_decay(zero, gaussian, 3, PropagatorMode.ODE,
-                       xp.TimeGrid(100.0, 1000.0, 12), 0)
+                       xp.TimeGrid(100.0, 1000.0, 12))
     base = xp.write_report(rep, tmp_path)
     data = json.loads((base / "report.json").read_text())
     assert data["name"] == "decay"
@@ -392,7 +409,7 @@ def test_report_writing(tmp_path, zero, gaussian):
 
 def test_run_decay_zero_mass(zero, pair):
     rep = xp.run_decay(zero, pair, 3, PropagatorMode.ODE,
-                       xp.TimeGrid(100.0, 2000.0, 12), 0)
+                       xp.TimeGrid(100.0, 2000.0, 12))
     assert rep.all_passed
     l2_fit = [f for f in rep.fits if f.trace_label == "l2-squared"][0]
     assert l2_fit.rate <= -(3 + 2) / 2.0 + 0.1
