@@ -36,7 +36,6 @@ _DEFAULTS = {
     "t_lo": 100.0,
     "t_hi": 10_000.0,
     "t_count": 40,
-    "t_spacing": "log",
     "tol": 1e-9,
     "out": "out",
     "seed": 0,
@@ -120,17 +119,19 @@ def build_config(command: str, kwargs: dict) -> RunConfig:
                             f"which are defined for mode ode only")
     try:
         tgrid = TimeGrid(_field(s, "t_lo", _real), _field(s, "t_hi", _real),
-                         _field(s, "t_count", _integer),
-                         _field(s, "t_spacing", _text))
+                         _field(s, "t_count", _integer))
     except ValueError as exc:
         raise ConfigInvalid(f"time grid: {exc}") from exc
     tol = _field(s, "tol", _real)
     if tol <= 0:
         raise ConfigInvalid(f"tol: {tol} must be positive")
+    profile_u0 = _field(s, "u0", lambda d: parse_profile(_text(d), N=n))
+    profile_u1 = _field(s, "u1", lambda d: parse_profile(_text(d), N=n))
+    if command in ("profile", "all") and not profile_u1.is_radial:
+        raise ConfigInvalid(f"u1: {command} runs the profile experiment, which needs "
+                            f"a radial datum, not {profile_u1.label}")
     return RunConfig(
-        command=command, N=n, mode=mode,
-        profile_u0=_field(s, "u0", lambda d: parse_profile(_text(d), N=n)),
-        profile_u1=_field(s, "u1", lambda d: parse_profile(_text(d), N=n)),
+        command=command, N=n, mode=mode, profile_u0=profile_u0, profile_u1=profile_u1,
         tgrid=tgrid, tol=tol, out_dir=Path(_field(s, "out", _text)),
         seed=_field(s, "seed", _integer),
     )

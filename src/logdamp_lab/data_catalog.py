@@ -59,11 +59,11 @@ class DataProfile:
 
 @dataclass(frozen=True)
 class ProfileTerms:
-    """Values of the three solution pieces F1, F2, F3 at one (r, t)."""
+    """Values of the three solution pieces F1, F2, F3 at (r, t), real."""
 
-    f1: complex
-    f2: complex
-    f3: complex
+    f1: float | np.ndarray
+    f2: float | np.ndarray
+    f3: float | np.ndarray
 
 
 def _weighted_radial_norm(u_abs: Callable, N: int, r_hi: float,
@@ -184,27 +184,26 @@ def parse_profile(descriptor: str, N: int = 3) -> DataProfile:
                             f"({exc.args[-1]})") from exc
 
 
-def profile_terms(profile: DataProfile, r: float, t: float) -> ProfileTerms:
+def profile_terms(profile: DataProfile, r, t) -> ProfileTerms:
     """The three-term split of the zero-displacement solution at (r, t).
 
     F1 carries the datum's deviation from its mass, F3 is the wave-like
     leading term with phase t sqrt(L), and F2 = u_hat - F1 - F3 is their
     exact complement: the quarter-frequency solution equals F1 + F2 + F3
-    identically.
+    identically.  Broadcasts over r and t; the terms are real.
     """
     if not profile.is_radial:
         raise ValueError("profile terms require a radial profile")
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("requires t >= 0")
     L = log_symbol(r)
-    sq = math.sqrt(L)
-    env = math.exp(-0.5 * L * t)
+    env = np.exp(-0.5 * L * t)
     four_over_pi = 4.0 / math.pi
-    A = float(profile.hat_radial(r)) - profile.P1
-    f1 = four_over_pi * A * env * math.sin(math.pi * t / 4.0)
-    f3 = four_over_pi * profile.P1 * env * math.sin(t * sq)
-    f2 = four_over_pi * profile.P1 * env * (
-        math.sin(math.pi * t / 4.0) - math.sin(t * sq)
-    )
-    return ProfileTerms(f1=complex(f1), f2=complex(f2), f3=complex(f3))
-
+    A = profile.hat_radial(r) - profile.P1
+    carrier = np.sin(math.pi * t / 4.0)
+    wave = np.sin(t * np.sqrt(L))
+    f1 = four_over_pi * A * env * carrier
+    f3 = four_over_pi * profile.P1 * env * wave
+    f2 = four_over_pi * profile.P1 * env * (carrier - wave)
+    return ProfileTerms(f1=f1, f2=f2, f3=f3)

@@ -41,25 +41,20 @@ class NonPositiveValues(Exception):
 
 @dataclass(frozen=True)
 class TimeGrid:
+    """count log-spaced sample times from lo to hi."""
+
     lo: float
     hi: float
     count: int
-    spacing: str = "log"
 
     def __post_init__(self):
-        if not (0 <= self.lo < self.hi):
-            raise ValueError("need 0 <= t_lo < t_hi")
+        if not (0 < self.lo < self.hi):
+            raise ValueError("need 0 < t_lo < t_hi")
         if self.count < 2:
             raise ValueError("need at least two samples")
-        if self.spacing not in ("log", "linear"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.spacing == "log" and self.lo <= 0:
-            raise ValueError("log spacing needs t_lo > 0")
 
     def times(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.lo, self.hi, self.count)
-        return np.linspace(self.lo, self.hi, self.count)
+        return np.geomspace(self.lo, self.hi, self.count)
 
 
 def _times(tgrid) -> np.ndarray:
@@ -118,12 +113,9 @@ class ExperimentReport:
 # Plancherel accounting
 
 
-def plancherel_constant(N: int) -> float:
-    return (2.0 * math.pi) ** (-N)
-
-
 def _trace_norm(N: int) -> float:
-    return plancherel_constant(N) * quadrature.surface_area(N)
+    """(2 pi)^{-N} omega_N: Plancherel's constant times the sphere's area."""
+    return (2.0 * math.pi) ** (-N) * quadrature.surface_area(N)
 
 
 def carrier_peak_times(lo: float, hi: float, count: int, mode) -> np.ndarray:
@@ -275,10 +267,10 @@ def energy_identity_residual(profile_u0, profile_u1, N, t,
     """
     if t <= 0:
         raise ValueError("requires t > 0")
-    e_start = 0.5 * energy_value(profile_u0, profile_u1, N, 0.0, mode)
+    e_start, e_end = 0.5 * energy_value(profile_u0, profile_u1, N, np.array([0.0, t]),
+                                        mode)
     if e_start == 0.0:
         return 0.0
-    e_end = 0.5 * energy_value(profile_u0, profile_u1, N, float(t), mode)
 
     def diss(s):
         return dissipation_value(profile_u0, profile_u1, N, s, mode)
@@ -297,7 +289,6 @@ def energy_identity_residual(profile_u0, profile_u1, N, t,
 def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
     P1 = profile.P1
     hat = profile.hat_radial
-    amp, alpha = profile.envelope
     s4 = math.sin(math.pi * t / 4.0)
 
     def integrand(r):
@@ -311,7 +302,6 @@ def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
         # negligible; the mass term needs t > N/2 for its majorant
         if t <= N / 2.0 + 1.0:
             raise ValueError("unbounded region needs t > N/2 + 1")
-        r_gauss = math.sqrt(60.0 / alpha) if amp > 0 else 2.0
         rough = quadrature.integrate(
             integrand, lo, max(lo + 1.0, 4.0), tol=1e-300, rel_tol=1e-3,
             breakpoints=quadrature.phase_radii(t, lo, max(lo + 1.0, 4.0)),
@@ -322,7 +312,7 @@ def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
         # (1+R^2)^{N/2-t} / (2(t-N/2)) * coef <= budget
         need = math.log(coef / (budget * 2.0 * (t - N / 2.0))) / (t - N / 2.0)
         r_maj = quadrature.log_radius(min(max(need, 0.1), 400.0))
-        hi = max(r_gauss, r_maj, lo + 1.0, 2.0)
+        hi = max(_envelope_cut(profile, profile), r_maj, lo + 1.0, 2.0)
 
     X = math.log(1.0 / rel_tol) + 40.0
     r_osc_hi = min(hi, quadrature.log_radius(min(X / max(t, 1e-9), 400.0)))
@@ -689,13 +679,11 @@ def run_profile(p1, N, tgrid, rel_tol=1e-9) -> ExperimentReport:
         high_fit.rate <= slope_cap, slope_cap - high_fit.rate))
 
     # exact three-term split of the solution
-    worst = 0.0
-    for r in np.linspace(0.0, 3.0, 16):
-        for t in (0.5, 1.0, 7.3, 20.0):
-            terms = profile_terms(p1, float(r), float(t))
-            u_hat = propagate_closed(0.0, complex(p1.hat_radial(float(r))),
-                                     float(r), float(t), mode).u_hat
-            worst = max(worst, abs(u_hat - (terms.f1 + terms.f2 + terms.f3)))
+    r = np.linspace(0.0, 3.0, 16)
+    t = np.array([0.5, 1.0, 7.3, 20.0]).reshape(-1, 1)
+    terms = profile_terms(p1, r, t)
+    u_hat = propagate_closed(0.0, p1.hat_radial(r), r, t, mode).u_hat
+    worst = float(np.max(np.abs(u_hat - (terms.f1 + terms.f2 + terms.f3))))
     rep.checks.append(Check("exact split u = F1 + F2 + F3 to 1e-12",
                             worst <= 1e-12, 1e-12 - worst))
 

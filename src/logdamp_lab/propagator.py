@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .symbols import PI_SQ, SpectralState, _unbox, log_symbol
+from .symbols import PI_SQ, SpectralState, log_symbol
 
 
 class PropagatorMode(str, Enum):
@@ -82,7 +82,7 @@ def propagate_closed(u0, u1, r, t, mode=PropagatorMode.ODE) -> SpectralState:
     data give a real state, complex data a complex one.
     """
     nu = carrier_frequency(mode)
-    L = np.asarray(log_symbol(r), dtype=float)
+    L = log_symbol(r)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("requires t >= 0")
@@ -90,7 +90,7 @@ def propagate_closed(u0, u1, r, t, mode=PropagatorMode.ODE) -> SpectralState:
 
     env = np.exp(-0.5 * L * t)
     c, s = np.cos(nu * t), np.sin(nu * t)
-    return SpectralState(_unbox(env * (a_u * c + b_u * s)), _unbox(env * (a_v * c + b_v * s)))
+    return SpectralState(env * (a_u * c + b_u * s), env * (a_v * c + b_v * s))
 
 
 def closed_form_defect(u0, u1, r, t, mode=PropagatorMode.ODE):
@@ -105,14 +105,13 @@ def closed_form_defect(u0, u1, r, t, mode=PropagatorMode.ODE):
     """
     nu = carrier_frequency(mode)
     st = propagate_closed(u0, u1, r, t, mode)
-    L = np.asarray(log_symbol(r), dtype=float)
+    L = log_symbol(r)
     t = np.asarray(t, dtype=float)
     _, _, a_v, b_v = closed_form_coefficients(u0, u1, L, mode)
     c, s = np.cos(nu * t), np.sin(nu * t)
     u_acc = np.exp(-0.5 * L * t) * ((nu * b_v - 0.5 * L * a_v) * c
                                     - (nu * a_v + 0.5 * L * b_v) * s)
-    u_hat, v_hat = np.asarray(st.u_hat), np.asarray(st.v_hat)
-    return _unbox(u_acc + L * v_hat + 0.25 * (L * L + PI_SQ) * u_hat)
+    return u_acc + L * st.v_hat + 0.25 * (L * L + PI_SQ) * st.u_hat
 
 
 # h ||A||_inf per step: the bound 4^k/k! on the Taylor terms peaks near 11 at

@@ -5,9 +5,12 @@ r = |xi| and the scalar symbol L(r) = log(1 + r^2).  This module collects the
 pure functions built from it:
 
 * the piecewise multipliers rho(r) and phi(r) used by the energy method,
+  each the minimum of its two branches,
 * the energy densities E0, E, F, R.
 
-All functions accept scalars or numpy arrays (broadcasting) and are stateless.
+All functions are stateless and broadcast over scalars and numpy arrays: an
+array in gives an array out, a scalar in gives a numpy scalar out (a float or
+complex subclass, so it formats and compares like a Python number).
 """
 
 from __future__ import annotations
@@ -19,12 +22,6 @@ import numpy as np
 
 PI_SQ = math.pi ** 2
 
-# Branch thresholds stored on the r^2 scale: comparisons use r*r <= threshold
-# so no square root is taken.  rho switches where L = pi/sqrt(3), phi where
-# L = 4/3.
-RHO_SPLIT_RSQ = math.expm1(math.pi / math.sqrt(3.0))
-PHI_SPLIT_RSQ = math.expm1(4.0 / 3.0)
-
 
 @dataclass(frozen=True)
 class SpectralState:
@@ -34,11 +31,6 @@ class SpectralState:
     v_hat: complex | np.ndarray
 
 
-def _unbox(out):
-    """A 0-d result as a Python float or complex; arrays pass through."""
-    return np.asarray(out).item() if np.ndim(out) == 0 else out
-
-
 def log_symbol(r):
     """The scalar symbol L = log(1 + r^2); monotone increasing, L(0) = 0.
     Where r*r overflows (|r| > 1.3e154) it is 2 log|r|, exact to rounding."""
@@ -46,40 +38,32 @@ def log_symbol(r):
     with np.errstate(over="ignore"):
         out = np.log1p(r * r)
     if np.isinf(out).any():
-        out = np.where(np.isinf(out), 2.0 * np.log(np.maximum(np.abs(r), 1.0)), out)
-    return _unbox(out)
-
-
-def _r_squared_at_most(r, threshold):
-    """r*r <= threshold; an r*r that overflows to inf is correctly above it."""
-    with np.errstate(over="ignore"):
-        return r * r <= threshold
+        out = np.where(np.isinf(out), 2.0 * np.log(np.maximum(np.abs(r), 1.0)), out)[()]
+    return out
 
 
 def rho(r):
     """Piecewise cross-term weight: L/4 up to L = pi/sqrt(3), then
     (L^2 + pi^2) / (16 L).
 
+    The low branch is the smaller one exactly when 3 L^2 <= pi^2, so rho is
+    the minimum of the two.
     Continuous at the split (both branches give pi/(4 sqrt(3))) and satisfies
     rho(r)^2 <= L^2/16 everywhere.
     """
-    r = np.asarray(r, dtype=float)
     L = log_symbol(r)
-    low = _r_squared_at_most(r, RHO_SPLIT_RSQ)
-    L_safe = np.where(low, 1.0, L)  # high branch never sees L = 0
-    out = np.where(low, 0.25 * L, (L * L + PI_SQ) / (16.0 * L_safe))
-    return _unbox(out)
+    # a zero or subnormal L sends the high branch to +inf, which the min discards
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.minimum(0.25 * L, (L * L + PI_SQ) / (16.0 * L))
 
 
 def phi(r):
     """Piecewise decay-rate envelope: (2/3) L up to L = 4/3, then 8/9.
 
+    (2/3) L <= 8/9 exactly when L <= 4/3, so phi is the minimum of the two.
     Continuous at the split and bounded by 8/9.
     """
-    r = np.asarray(r, dtype=float)
-    L = log_symbol(r)
-    out = np.where(_r_squared_at_most(r, PHI_SPLIT_RSQ), (2.0 / 3.0) * L, 8.0 / 9.0)
-    return _unbox(out)
+    return np.minimum((2.0 / 3.0) * log_symbol(r), 8.0 / 9.0)
 
 
 def energy_e0(state: SpectralState, r):
@@ -87,8 +71,7 @@ def energy_e0(state: SpectralState, r):
     L = log_symbol(r)
     u2 = np.abs(state.u_hat) ** 2
     v2 = np.abs(state.v_hat) ** 2
-    out = 0.5 * v2 + 0.125 * (L * L + PI_SQ) * u2
-    return _unbox(out)
+    return 0.5 * v2 + 0.125 * (L * L + PI_SQ) * u2
 
 
 def energy_e(state: SpectralState, r):
@@ -100,15 +83,13 @@ def energy_e(state: SpectralState, r):
     rh = rho(r)
     L = log_symbol(r)
     cross = np.real(state.v_hat * np.conj(state.u_hat))
-    out = energy_e0(state, r) + rh * cross + 0.5 * rh * L * np.abs(state.u_hat) ** 2
-    return _unbox(out)
+    return energy_e0(state, r) + rh * cross + 0.5 * rh * L * np.abs(state.u_hat) ** 2
 
 
 def dissipation_f(state: SpectralState, r):
     """Dissipation functional F = L |v|^2 + (L^2 + pi^2) |u|^2 / 4."""
     L = log_symbol(r)
-    out = L * np.abs(state.v_hat) ** 2 + 0.25 * (L * L + PI_SQ) * np.abs(state.u_hat) ** 2
-    return _unbox(out)
+    return L * np.abs(state.v_hat) ** 2 + 0.25 * (L * L + PI_SQ) * np.abs(state.u_hat) ** 2
 
 
 def dissipation_f_effective(state: SpectralState, r):
@@ -121,14 +102,12 @@ def dissipation_f_effective(state: SpectralState, r):
     (1 - rho)(L^2 + pi^2)|u|^2/4 exactly.
     """
     L = log_symbol(r)
-    out = (
+    return (
         L * np.abs(state.v_hat) ** 2
         + 0.25 * rho(r) * (L * L + PI_SQ) * np.abs(state.u_hat) ** 2
     )
-    return _unbox(out)
 
 
 def source_r(state: SpectralState, r):
     """Source functional R = rho |v|^2."""
-    out = rho(r) * np.abs(state.v_hat) ** 2
-    return _unbox(out)
+    return rho(r) * np.abs(state.v_hat) ** 2

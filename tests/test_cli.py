@@ -50,15 +50,17 @@ def test_large_n_refusal_names_its_cause(tmp_path, n, cause, command):
     assert not out.exists()
 
 
-def test_power_fit_over_t_zero_is_config_error(tmp_path):
+def test_t_spacing_is_unknown_and_t_lo_zero_is_a_time_grid_error(tmp_path):
+    # the time grid is log-spaced only, so no grid reaches a t <= 0 power fit
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"t_spacing": "linear", "t_lo": 0, "t_hi": 100,
-                               "t_count": 20}))
+    cfg.write_text(json.dumps({"t_spacing": "linear"}))
     out = tmp_path / "out"
     res = _invoke(["decay", "--config", str(cfg), "--out", str(out)])
     assert res.exit_code == 1
-    assert res.output == ("config error: power fit of trace 'energy' needs positive "
-                          "times: 1 of 20 samples in its window are at t <= 0\n")
+    assert res.output == f"config error: config file {cfg}: unknown keys ['t_spacing']\n"
+    res = _invoke(["decay", "--t-lo", "0", "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.output == "config error: time grid: need 0 < t_lo < t_hi\n"
     assert not out.exists()
 
 
@@ -175,6 +177,22 @@ def test_paper_mode_rejected_up_front_for_sweeps(tmp_path, command):
     res = _invoke([command, "--mode", "paper", "--out", str(out)])
     assert res.exit_code == 1
     assert "config error: mode: " in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "all"])
+def test_non_radial_u1_rejected_up_front_for_profile(tmp_path, monkeypatch, command):
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("an experiment ran")
+
+    for name in ("run_simulate", "run_decay", "run_profile"):
+        monkeypatch.setattr(experiments, name, no_experiment)
+        monkeypatch.setattr(cli, name, no_experiment)
+    out = tmp_path / "out"
+    res = _invoke([command, "--u1", "shifted_gaussian:offset=0.5", "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.output == (f"config error: u1: {command} runs the profile experiment, "
+                          f"which needs a radial datum, not shifted_gaussian:offset=0.5\n")
     assert not out.exists()
 
 

@@ -148,12 +148,12 @@ def test_profile_terms_f2_vanishing_radius():
 
 def test_profile_terms_exact_split():
     g = cat.make_profile("gaussian", N=3, a=1.0)
-    for r in np.linspace(0.0, 3.0, 13):
-        for t in (0.5, 1.0, 4.2, 11.0):
-            terms = cat.profile_terms(g, float(r), float(t))
-            u_hat = propagate_closed(0.0, complex(g.hat_radial(float(r))),
-                                     float(r), float(t), "paper").u_hat
-            assert abs(u_hat - (terms.f1 + terms.f2 + terms.f3)) < 1e-12
+    r = np.linspace(0.0, 3.0, 13)
+    t = np.array([0.5, 1.0, 4.2, 11.0]).reshape(-1, 1)
+    terms = cat.profile_terms(g, r, t)
+    u_hat = propagate_closed(0.0, g.hat_radial(r), r, t, "paper").u_hat
+    assert u_hat.shape == terms.f1.shape == (4, 13)
+    assert np.all(np.abs(u_hat - (terms.f1 + terms.f2 + terms.f3)) < 1e-12)
 
 
 def test_profile_terms_f2_bound():

@@ -34,12 +34,10 @@ def pair():
 
 
 def test_time_grid():
-    g = xp.TimeGrid(1.0, 100.0, 5, "log")
+    g = xp.TimeGrid(1.0, 100.0, 5)
     assert np.allclose(g.times(), np.geomspace(1.0, 100.0, 5))
-    assert np.allclose(xp.TimeGrid(0.0, 4.0, 5, "linear").times(), np.linspace(0, 4, 5))
     for bad in (dict(lo=2.0, hi=1.0, count=5), dict(lo=1.0, hi=2.0, count=1),
-                dict(lo=0.0, hi=2.0, count=4, spacing="log"),
-                dict(lo=1.0, hi=2.0, count=4, spacing="cubic")):
+                dict(lo=0.0, hi=2.0, count=4), dict(lo=-1.0, hi=2.0, count=4)):
         with pytest.raises(ValueError):
             xp.TimeGrid(**bad)
 
@@ -77,8 +75,7 @@ def test_l2_value_zero_data(zero):
 
 
 def test_energy_trace_nonincreasing(zero, gaussian):
-    tr = xp.energy_trace(zero, gaussian, 3, xp.TimeGrid(0.5, 40.0, 25, "linear"),
-                         PropagatorMode.ODE)
+    tr = xp.energy_trace(zero, gaussian, 3, np.linspace(0.5, 40.0, 25), PropagatorMode.ODE)
     assert np.all(np.diff(tr.values) <= 1e-12 * tr.values[0])
     assert np.all(tr.values > 0)
 

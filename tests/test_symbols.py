@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdamp_lab import symbols as sym
-from logdamp_lab.propagator import PropagatorMode, propagate_closed
+from logdamp_lab.data_catalog import make_profile, profile_terms
+from logdamp_lab.propagator import PropagatorMode, closed_form_defect, propagate_closed
 
 PI = math.pi
 
@@ -91,6 +93,59 @@ def test_multipliers_keep_their_bits_below_the_square_overflow():
         assert [float(v).hex() for v in got[name]] == bits, name
 
 
+def test_multipliers_are_the_piecewise_forms_across_the_splits():
+    # the minimum of the two branches picks the branch the r^2 threshold
+    # picks, bit for bit, on 4001 radii around each split
+    rho_rsq, phi_rsq = math.expm1(PI / math.sqrt(3.0)), math.expm1(4.0 / 3.0)
+    r = np.concatenate([math.sqrt(rsq) + np.arange(-2000, 2001) * np.spacing(math.sqrt(rsq))
+                        for rsq in (rho_rsq, phi_rsq)])
+    L = np.log1p(r * r)
+    rho_low, phi_low = r * r <= rho_rsq, r * r <= phi_rsq
+    assert rho_low.any() and not rho_low.all() and phi_low.any() and not phi_low.all()
+    piecewise_rho = np.where(rho_low, 0.25 * L, (L * L + PI * PI) / (16.0 * L))
+    piecewise_phi = np.where(phi_low, (2.0 / 3.0) * L, 8.0 / 9.0)
+    assert sym.rho(r).tobytes() == piecewise_rho.tobytes()
+    assert sym.phi(r).tobytes() == piecewise_phi.tobytes()
+    # L = 0 or subnormal sends the high rho branch to inf: no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r0 in (0.0, 1e-300, 1e-160, 1e-155):
+            L0 = sym.log_symbol(r0)
+            assert sym.rho(r0) == 0.25 * L0
+            assert sym.phi(r0) == (2.0 / 3.0) * L0
+
+
+def test_a_scalar_in_gives_a_number_out_with_the_array_bits():
+    # a 0-d array would refuse the :.3e format below
+    r = np.array([0.0, 1e-8, 0.3, 1.7, 2.3, 40.0, 1e20])
+    state = sym.SpectralState(0.3 - 1.2j, 0.7 + 0.4j)
+    g = make_profile("gaussian", N=3, a=1.0)
+    u0, u1 = 0.4 + 0.1j, -1.3 + 0.5j
+    calls = {
+        "log_symbol": sym.log_symbol, "rho": sym.rho, "phi": sym.phi,
+        "energy_e0": lambda x: sym.energy_e0(state, x),
+        "energy_e": lambda x: sym.energy_e(state, x),
+        "dissipation_f": lambda x: sym.dissipation_f(state, x),
+        "source_r": lambda x: sym.source_r(state, x),
+        "propagate_closed.u_hat": lambda x: propagate_closed(u0, u1, x, 2.5).u_hat,
+        "propagate_closed.v_hat": lambda x: propagate_closed(0.4, -1.3, x, 2.5).v_hat,
+        "closed_form_defect": lambda x: closed_form_defect(u0, u1, x, 2.5, "paper"),
+        "profile_terms.f1": lambda x: profile_terms(g, x, 2.5).f1,
+        "profile_terms.f2": lambda x: profile_terms(g, x, 2.5).f2,
+        "profile_terms.f3": lambda x: profile_terms(g, x, 2.5).f3,
+    }
+    for name, f in calls.items():
+        arr = f(r)
+        for i, x in enumerate(r.tolist()):
+            v = f(x)
+            assert isinstance(v, (float, complex)), (name, type(v))
+            assert f"{v:.3e}", name
+            assert np.asarray(v).tobytes() == arr[i:i + 1].tobytes(), (name, x)
+    # past the r*r overflow, log_symbol takes its 2 log|r| branch
+    v = sym.log_symbol(1e200)
+    assert isinstance(v, float) and f"{v:.3e}" == "9.210e+02"
+
+
 def test_propagate_closed_keeps_real_data_real():
     r = np.linspace(0.0, 8.0, 33)
     t = np.linspace(0.0, 12.0, 7).reshape(-1, 1)
@@ -110,7 +165,7 @@ def test_log_symbol_monotone(r, dr):
 
 def test_rho_anchors():
     assert sym.rho(0.0) == 0.0
-    r_split = math.sqrt(sym.RHO_SPLIT_RSQ)
+    r_split = math.sqrt(math.expm1(PI / math.sqrt(3.0)))
     assert abs(sym.rho(r_split) - PI / (4.0 * math.sqrt(3.0))) < 1e-14
     # branch continuity at the split
     eps = 1e-9
@@ -121,7 +176,7 @@ def test_rho_anchors():
 
 
 def test_rho_branch_continuity_tight():
-    r_split = math.sqrt(sym.RHO_SPLIT_RSQ)
+    r_split = math.sqrt(math.expm1(PI / math.sqrt(3.0)))
     L = sym.log_symbol(r_split)
     low = 0.25 * L
     high = (L * L + PI * PI) / (16.0 * L)
@@ -137,7 +192,7 @@ def test_rho_square_bound_random_sweep():
 
 def test_phi_anchors():
     assert sym.phi(0.0) == 0.0
-    r_split = math.sqrt(sym.PHI_SPLIT_RSQ)
+    r_split = math.sqrt(math.expm1(4.0 / 3.0))
     assert abs(sym.phi(r_split) - 8.0 / 9.0) < 1e-14
     assert abs(sym.phi(r_split * (1 + 1e-12)) - 8.0 / 9.0) < 1e-14
     assert sym.phi(10.0) == 8.0 / 9.0
