@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import quadrature
-from .data_catalog import DataProfile, profile_terms
+from .data_catalog import DataProfile, make_profile, profile_terms
 from .propagator import PropagatorMode, carrier_frequency, closed_form_coefficients, \
     closed_form_defect, oracle_grid, propagate_closed
 from .symbols import PI_SQ, SpectralState, dissipation_f, dissipation_f_effective, \
@@ -197,14 +197,17 @@ def _quadratic_density(h0, h1, N, t, mode, wu=None, wv=None):
     return density
 
 
-def _spectral_quadratic(p0, p1, N, t, mode, wu=None, wv=None, rel_tol=1e-9):
-    """(2 pi)^{-N} omega_N * int (wu(L)|u|^2 + wv(L)|v|^2) r^{N-1} dr.
+def _spectral_quadratic(p0, p1, N, t, mode, wu=None, wv=None, rel_tol=1e-9, lo=0.0,
+                        hi=None):
+    """(2 pi)^{-N} omega_N * int_lo^hi (wu(L)|u|^2 + wv(L)|v|^2) r^{N-1} dr.
 
     At one time t this is a float; at a 1-d array of times it is an array,
     computed as one vector integral of :func:`_quadratic_density` with each
-    time held to rel_tol.  With 32 geometric seed panels no energy or L^2
-    trace of the lab's data on the decay grids bisects, so every time keeps
-    the bits of its own scalar integral.  Negative times raise ValueError.
+    time held to rel_tol.  hi=None cuts at the data's Gaussian envelope.  The
+    band is seeded with 32 geometric panels, from hi * 1e-5 (or lo, if
+    higher) to hi: with them no energy or L^2 trace of the lab's data on the
+    decay grids bisects, so every time keeps the bits of its own scalar
+    integral.  Negative times raise ValueError.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -212,11 +215,16 @@ def _spectral_quadratic(p0, p1, N, t, mode, wu=None, wv=None, rel_tol=1e-9):
     if p0.is_zero and p1.is_zero:
         return np.zeros(t.shape)[()]
     h0, h1 = _radial_hat_pair(p0, p1)
-    r_hi = _envelope_cut(p0, p1)
-    seeds = quadrature.geom_points(r_hi * 1e-5, r_hi, 32)
-    res = quadrature.integrate(_quadratic_density(h0, h1, N, t, mode, wu, wv), 0.0, r_hi,
+    if hi is None:
+        hi = _envelope_cut(p0, p1)
+    seeds = quadrature.geom_points(max(lo, hi * 1e-5), hi, 32)
+    res = quadrature.integrate(_quadratic_density(h0, h1, N, t, mode, wu, wv), lo, hi,
                                tol=1e-300, rel_tol=rel_tol, breakpoints=seeds)
     return _trace_norm(N) * res.value
+
+
+def _unit(L):
+    return np.ones_like(L)
 
 
 def energy_value(p0, p1, N, t, mode, rel_tol=1e-9):
@@ -224,14 +232,13 @@ def energy_value(p0, p1, N, t, mode, rel_tol=1e-9):
     array t (twice the energy)."""
     return _spectral_quadratic(
         p0, p1, N, t, mode,
-        wu=lambda L: 0.25 * (L * L + PI_SQ), wv=lambda L: np.ones_like(L),
+        wu=lambda L: 0.25 * (L * L + PI_SQ), wv=_unit,
         rel_tol=rel_tol,
     )
 
 
 def l2_value(p0, p1, N, t, mode, rel_tol=1e-9):
-    return _spectral_quadratic(p0, p1, N, t, mode, wu=lambda L: np.ones_like(L),
-                               rel_tol=rel_tol)
+    return _spectral_quadratic(p0, p1, N, t, mode, wu=_unit, rel_tol=rel_tol)
 
 
 def dissipation_value(p0, p1, N, t, mode, rel_tol=1e-10):
@@ -287,6 +294,17 @@ def energy_identity_residual(profile_u0, profile_u1, N, t,
 
 
 def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
+    """(2 pi)^{-N} omega_N * int_lo^hi (16/pi^2) e^{-Lt} (sin(pi t/4) hat -
+    P1 sin(t sqrt L))^2 r^{N-1} dr at one time t, with hi=None for infinity.
+
+    Panels are seeded at half periods of the mass term's phase plus 8
+    geometric points.  A band from 0 of a mass datum (P1^2 > 0) at t > N/2 + 1
+    is cut by quadrature._tail_cut: its integrand is at most (16/pi^2)(A +
+    |P1|)^2 (1+r^2)^{-t} r^{N-1}, A the envelope amplitude, and its first cut
+    is sized by the leading term (8/pi^2) P1^2 (sin^2(pi t/4) + 1/2)
+    Gamma(N/2) t^{-N/2}, with phase seeds up to the cut.  Other bands keep
+    phase seeds up to log(1 + r^2) = (log(1/rel_tol) + 40)/t.
+    """
     P1 = profile.P1
     hat = profile.hat_radial
     s4 = math.sin(math.pi * t / 4.0)
@@ -296,6 +314,27 @@ def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
         L = np.log1p(r * r)
         diff = s4 * hat(r) - P1 * np.sin(t * np.sqrt(L))
         return (16.0 / PI_SQ) * np.exp(-L * t) * diff * diff * np.power(r, N - 1)
+
+    def band(b, r_osc_hi):
+        seeds = np.concatenate([
+            quadrature.phase_radii(t, lo, r_osc_hi),
+            quadrature.geom_points(max(lo, b * 1e-6), b, 8) if b > lo else np.empty(0),
+        ])
+        return quadrature.integrate(integrand, lo, b, tol=1e-300, rel_tol=rel_tol,
+                                    breakpoints=seeds).value
+
+    # P1^2 > 0 keeps the bound's factor off zero, where its log fails
+    if hi is not None and lo == 0.0 and P1 * P1 > 0.0 and t > N / 2.0 + 1.0:
+        def head(y, r_cut):
+            r_cut = min(r_cut, hi)
+            return band(r_cut, r_cut)
+
+        factor = (16.0 / PI_SQ) * (profile.envelope[0] + abs(P1)) ** 2
+        log_scale = (math.log((8.0 / PI_SQ) * (s4 * s4 + 0.5)) + 2.0 * math.log(abs(P1))
+                     + math.lgamma(N / 2.0) - (N / 2.0) * math.log(t))
+        value = quadrature._tail_cut(f"profile error (N={N})", N, t, rel_tol, head,
+                                     log_scale, factor=factor)
+        return _trace_norm(N) * value
 
     if hi is None:
         # cut where both the datum envelope and the mass term are certifiably
@@ -316,13 +355,7 @@ def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
 
     X = math.log(1.0 / rel_tol) + 40.0
     r_osc_hi = min(hi, quadrature.log_radius(min(X / max(t, 1e-9), 400.0)))
-    seeds = np.concatenate([
-        quadrature.phase_radii(t, lo, r_osc_hi),
-        quadrature.geom_points(max(lo, hi * 1e-6), hi, 8) if hi > lo else np.empty(0),
-    ])
-    res = quadrature.integrate(integrand, lo, hi, tol=1e-300, rel_tol=rel_tol,
-                               breakpoints=seeds)
-    return _trace_norm(N) * res.value
+    return _trace_norm(N) * band(hi, r_osc_hi)
 
 
 def profile_error_trace(profile_u1, N, tgrid, region="low", rel_tol=1e-9) -> Trace:
@@ -330,7 +363,11 @@ def profile_error_trace(profile_u1, N, tgrid, region="low", rel_tol=1e-9) -> Tra
 
     Zero-displacement scenario in the quarter-frequency mode (the mode the
     three-term split is stated in).  Regions partition the frequency space at
-    radius 1: "low" is [0, 1], "high" is [1, inf), "all" their union.
+    radius 1: "low" is [0, 1], "high" is [1, inf), "all" their union.  For a
+    zero-mass datum the leading term vanishes, so the error is the
+    quarter-frequency L^2 density of the band: one vector integral over all
+    times by :func:`_spectral_quadratic`.  A mass datum takes one
+    :func:`_profile_error_value` per time.
     """
     if not profile_u1.is_radial:
         raise ValueError("profile error traces need a radial datum")
@@ -338,13 +375,15 @@ def profile_error_trace(profile_u1, N, tgrid, region="low", rel_tol=1e-9) -> Tra
         raise ValueError(f"unknown region {region!r}")
     times = _times(tgrid)
     lo, hi = {"low": (0.0, 1.0), "high": (1.0, None), "all": (0.0, None)}[region]
-    vals = []
-    for t in times:
-        if t == 0.0:
-            vals.append(0.0)
-        else:
-            vals.append(_profile_error_value(profile_u1, N, float(t), lo, hi, rel_tol))
-    return Trace(times, np.asarray(vals), f"profile-error-{region}")
+    if profile_u1.P1 == 0.0:
+        vals = _spectral_quadratic(make_profile("zero", N=N), profile_u1, N, times,
+                                   PropagatorMode.PAPER, wu=_unit, rel_tol=rel_tol,
+                                   lo=lo, hi=hi)
+    else:
+        vals = [0.0 if t == 0.0 else _profile_error_value(profile_u1, N, float(t), lo, hi,
+                                                          rel_tol)
+                for t in times]
+    return Trace(times, vals, f"profile-error-{region}")
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +726,10 @@ def run_profile(p1, N, tgrid, rel_tol=1e-9) -> ExperimentReport:
     rep.checks.append(Check("exact split u = F1 + F2 + F3 to 1e-12",
                             worst <= 1e-12, 1e-12 - worst))
 
-    # the frequency regions partition at radius 1 (times off the carrier zeros)
-    t_shared = np.array([6.0, 14.0, 26.0, 46.0])
+    # the frequency regions partition at radius 1 (times off the carrier zeros,
+    # moved by whole carrier periods until the high band's t > N/2 + 1 holds)
+    periods = max(0, math.floor((N / 2.0 - 5.0) / 4.0) + 1)
+    t_shared = np.array([6.0, 14.0, 26.0, 46.0]) + 4.0 * periods
     v_low = profile_error_trace(p1, N, t_shared, "low").values
     v_high = profile_error_trace(p1, N, t_shared, "high").values
     v_all = profile_error_trace(p1, N, t_shared, "all").values

@@ -196,6 +196,29 @@ def test_non_radial_u1_rejected_up_front_for_profile(tmp_path, monkeypatch, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [10, 12])
+def test_profile_runs_at_n_of_ten_and_above(tmp_path, n):
+    # the additivity times move by whole carrier periods past N/2 + 1, where
+    # the high band is defined; the one red check is the low-band exponent
+    # window of a mass-carrying datum (C6)
+    res = _invoke(["profile", "--n", str(n), "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    report = json.loads((tmp_path / "profile" / "report.json").read_text())
+    failed = [c["description"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["low-band error exponent within [-0.6, -0.4]"]
+
+
+def test_zero_mass_profile_runs_to_ten_billion(tmp_path):
+    # one vector integral per band has no phase panels, so no seed-panel wall
+    res = _invoke(["profile", "--u1", "zero_mean_pair", "--t-hi", "1e10",
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    rows = (tmp_path / "profile" / "profile-error-low.csv").read_text().split()[1:]
+    t, v = zip(*(map(float, row.split(",")) for row in rows))
+    assert max(t) > 1e9
+    assert all(math.isfinite(x) and x > 0 for x in v)
+
+
 def test_lemmas_command_passes(tmp_path):
     res = _invoke(["lemmas", "--out", str(tmp_path), "--seed", "0"])
     assert res.exit_code == 0, res.output

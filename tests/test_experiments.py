@@ -385,6 +385,139 @@ def test_profile_error_zero_at_t0(gaussian):
     assert tr.values[0] == 0.0
 
 
+def _bench_profile_grids(N):
+    """The times at which run_profile samples a zero-mass datum on the
+    benchmark's grid [1e2, 1e4] x 200: carrier peaks for the low band, the
+    high-band fit times, and the additivity times."""
+    low = xp.carrier_peak_times(100.0, 10_000.0, 200, PropagatorMode.PAPER)
+    t_high_lo = max(5.0, N / 2.0 + 1.5)
+    high = np.arange(math.ceil((t_high_lo - 2.0) / 4.0) * 4.0 + 2.0, 60.0, 4.0)
+    return low, high, np.array([6.0, 14.0, 26.0, 46.0])
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_zero_mass_trace_matches_the_per_time_scalar_route(N):
+    # with P1 = 0 the wave term vanishes and the vector L^2 trace is the
+    # error; the scalar route integrates the full error integrand per time.
+    # At t = 1e8 only the low band has a scalar route: on [1, 4] the rough
+    # pass of the unbounded regions needs ~1e8 phase panels
+    pair = make_profile("zero_mean_pair", N=N)
+    low, high, shared = _bench_profile_grids(N)
+    cases = [("low", np.append(low, 1e8)), ("low", shared), ("high", high),
+             ("high", shared), ("all", shared), ("all", high)]
+    for region, times in cases:
+        lo, hi = {"low": (0.0, 1.0), "high": (1.0, None), "all": (0.0, None)}[region]
+        got = xp.profile_error_trace(pair, N, times, region).values
+        want = np.array([xp._profile_error_value(pair, N, float(t), lo, hi) for t in times])
+        assert np.all(want > 0), region
+        assert np.all(np.abs(got - want) <= 1e-13 * want), region
+
+
+def _uncut_low_band(profile, N, t):
+    """The low band over all of [0, 1], phase-seeded throughout, to 1e-12."""
+    P1, s4 = profile.P1, math.sin(PI * t / 4.0)
+
+    def f(r):
+        L = np.log1p(r * r)
+        diff = s4 * profile.hat_radial(r) - P1 * np.sin(t * np.sqrt(L))
+        return (16.0 / PI_SQ) * np.exp(-L * t) * diff * diff * r ** (N - 1)
+
+    seeds = np.concatenate([xp.quadrature.phase_radii(t, 0.0, 1.0),
+                            np.geomspace(1e-6, 1.0, 8)])
+    res = integrate(f, 0.0, 1.0, tol=1e-300, rel_tol=1e-12, breakpoints=seeds)
+    return xp._trace_norm(N) * res.value
+
+
+_CUT_TIMES = [100.0, 316.0, 1000.0, 3162.0, 10_000.0, 6.0, 14.0, 26.0, 46.0]
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_mass_low_band_cut_matches_the_uncut_band(N):
+    for a in (0.5, 1.0, 2.0):
+        g = make_profile("gaussian", N=N, a=a)
+        for t in _CUT_TIMES:
+            ref = _uncut_low_band(g, N, t)
+            got = xp._profile_error_value(g, N, t, 0.0, 1.0)
+            assert abs(got - ref) <= 1e-10 * ref, (a, t)
+
+
+def _spy_integrate(monkeypatch):
+    calls = []
+    real = xp.quadrature.integrate
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(xp.quadrature, "integrate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("count", [40, 200])  # the CLI default and bench grids
+def test_mass_low_band_takes_one_integral_per_sample(count, monkeypatch):
+    # the leading-term estimate places the first cut where it certifies, so
+    # no sample pays for a second pass
+    calls = _spy_integrate(monkeypatch)
+    times = xp.TimeGrid(100.0, 10_000.0, count).times()
+    for N in (3, 5):
+        for a in (0.5, 1.0, 2.0):
+            g = make_profile("gaussian", N=N, a=a)
+            del calls[:]
+            xp.profile_error_trace(g, N, times, "low")
+            assert len(calls) == count
+            # cut short of the whole band: the cut, not the band, ends the range
+            assert all(0.0 < b < 1.0 for _, b in calls)
+
+
+def test_mass_low_band_estimate_sets_the_work_not_the_certificate(monkeypatch):
+    # a first cut sized by an estimate e^20 too high is too short: the cut
+    # grows until the bound certifies it, at the cost of passes
+    real = xp.quadrature._tail_cut
+
+    def too_high(name, N, t, rel_tol, head, log_scale, **kwargs):
+        return real(name, N, t, rel_tol, head, log_scale + 20.0, **kwargs)
+
+    g = make_profile("gaussian", N=3, a=1.0)
+    refs = {t: _uncut_low_band(g, 3, t) for t in (100.0, 10_000.0)}
+    calls = _spy_integrate(monkeypatch)
+    monkeypatch.setattr(xp.quadrature, "_tail_cut", too_high)
+    for t, ref in refs.items():
+        del calls[:]
+        got = xp._profile_error_value(g, 3, t, 0.0, 1.0)
+        assert len(calls) > 1
+        assert abs(got - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_mass_low_band_integrates_the_whole_band_up_to_n_half_plus_one(N, monkeypatch):
+    # the tail bound needs t > N/2; up to t = N/2 + 1 the band is not cut
+    real = xp.quadrature._tail_cut
+    cut = []
+
+    def spy(*args, **kwargs):
+        cut.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(xp.quadrature, "_tail_cut", spy)
+    g = make_profile("gaussian", N=N, a=1.0)
+    for t in (0.5, N / 2.0, N / 2.0 + 1.0):
+        got = xp._profile_error_value(g, N, t, 0.0, 1.0)
+        assert abs(got - _uncut_low_band(g, N, t)) <= 1e-10 * got
+    assert cut == []
+    xp._profile_error_value(g, N, N / 2.0 + 1.5, 0.0, 1.0)
+    assert cut == [N / 2.0 + 1.5]
+
+
+def test_zero_mass_profile_run_is_five_integrals(monkeypatch):
+    # low and high traces plus the three additivity regions, one vector
+    # integral each: a return to one integral per time fails here
+    pair = make_profile("zero_mean_pair", N=3)
+    calls = _spy_integrate(monkeypatch)
+    rep = xp.run_profile(pair, 3, xp.TimeGrid(100.0, 10_000.0, 40))
+    assert rep.all_passed
+    assert len(calls) <= 5
+
+
 # ---------------------------------------------------------------------------
 # reports
 
