@@ -15,9 +15,12 @@ with coefficients that depend on the radius only through L;
 that need many times (the energy and L^2 traces) build them once per radius.
 
 The oracle integrates the oscillator as the linear system y' = A y,
-A = [[0, 1], [-c, -L]], one Taylor series per step with a certified
-remainder (Jorba & Zou 2005; Moler & Van Loan 2003), using only L and c, so
-it stays independent of the closed forms.
+A = [[0, 1], [-c, -L]], using only L and c, so it stays independent of the
+closed forms.  A and the step length h are fixed between steps, so the Taylor
+series of exp(hA) is summed once, with a certified remainder, into a 2x2
+matrix per trajectory (Jorba & Zou 2005; Moler & Van Loan 2003), and each
+step is one product with it; only the step that lands on an output time
+needs a matrix of its own.
 """
 
 from __future__ import annotations
@@ -123,29 +126,31 @@ _STEP_TOL = 1e-11
 _MAX_STEPS = 1_000_000
 
 
-def _taylor_step(u, v, h, L, c, norm):
-    """y(t+h) = sum_k (hA)^k y / k! for y = (u, v), A = [[0, 1], [-c, -L]].
+def _taylor_matrix(h, L, c, norm):
+    """The four real entries (m00, m01, m10, m11) of M = exp(hA), A = [[0, 1],
+    [-c, -L]], one set per trajectory, so that y(t+h) = M y(t).
 
-    Term k is (u_k, v_k) = (h v_{k-1}, h (-c u_{k-1} - L v_{k-1})) / k.  With
-    norm >= ||A||_inf for every trajectory and q = h norm / (K+1) < 1, term
-    K+j is at most |term_K| q^j, so the terms left out sum to at most
-    |term_K| q/(1-q).  Terms are added until that bound is at most
-    _STEP_TOL max(|u|, |v|) for every trajectory.  A term that overflows
-    raises OverflowError.
+    The Taylor series is summed on the unit columns e1 = (1, 0) and e2 = (0, 1):
+    term k of a column is (u_k, v_k) = (h v_{k-1}, h (-c u_{k-1} - L v_{k-1}))
+    / k.  With norm >= ||A||_inf for every trajectory and q = h norm / (K+1)
+    < 1, term K+j of a column is at most |term_K| q^j, so the terms left out
+    sum to at most |term_K| q/(1-q).  Terms are added until the two columns'
+    bounds sum to at most _STEP_TOL, so the remainder R of M has |R y|_inf <=
+    _STEP_TOL max(|u|, |v|) for every state y = (u, v).
     """
-    bound = _STEP_TOL * np.maximum(np.abs(u), np.abs(v))
     a, b = -h * c, -h * L
-    su, sv, du, dv = u, v, u, v
+    # the columns e1, e2 stacked on a leading axis: (du[j], dv[j]) is column j's term
+    zero, one = np.zeros_like(L), np.ones_like(L)
+    su = du = np.stack([one, zero])
+    sv = dv = np.stack([zero, one])
     for k in itertools.count(1):
         du, dv = dv * (h / k), (a * du + b * dv) / k
         su, sv = su + du, sv + dv
         q = h * norm / (k + 1)
         if q < 1.0:
-            rem = np.maximum(np.abs(du), np.abs(dv)) * (q / (1.0 - q))
-            if np.all(rem <= bound):
-                return su, sv
-            if not np.all(np.isfinite(rem)):
-                raise OverflowError(f"oracle step overflows at Taylor term {k}")
+            rem = np.maximum(np.abs(du), np.abs(dv))
+            if np.all((rem[0] + rem[1]) * (q / (1.0 - q)) <= _STEP_TOL):
+                return su[0], su[1], sv[0], sv[1]
 
 
 def oracle_grid(u0, u1, r, t_values):
@@ -153,12 +158,15 @@ def oracle_grid(u0, u1, r, t_values):
 
     u0, u1, r are broadcast to a common shape (the trajectory batch) and must
     be finite; t_values must be nondecreasing and nonnegative.  Returns (u, v)
-    arrays of shape (len(t_values),) + batch.  Every step is one
-    :func:`_taylor_step` of the fixed length h = 4 / max(1, c + L), with
-    c + L at its largest over the batch, except the step that lands on each
-    output time; its remainder is at most 1e-11 relative to each trajectory's
-    state.  So a run takes at most t_max / h + len(t_values) steps; one whose
-    bound exceeds a million steps is refused with ValueError before the first.
+    arrays of shape (len(t_values),) + batch.  Every step has the fixed length
+    h = 4 / max(1, c + L), with c + L at its largest over the batch, except the
+    step that lands on each output time; each is one product with the
+    :func:`_taylor_matrix` of its length, whose remainder is at most 1e-11
+    relative to each trajectory's state.  That matrix is built once for h and
+    once per landing step, so at most len(t_values) + 1 times.  A run takes at
+    most t_max / h + len(t_values) steps; one whose bound exceeds a million
+    steps is refused with ValueError before the first.  A state that is not
+    finite at an output time raises OverflowError.
     """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1 or len(t_values) == 0:
@@ -185,11 +193,15 @@ def oracle_grid(u0, u1, r, t_values):
     out_u = np.empty((len(t_values),) + u.shape, dtype=complex)
     out_v = np.empty_like(out_u)
 
+    full = _taylor_matrix(h, L, c, norm)
     now = 0.0
     for k, t_out in enumerate(t_values):
         while now < t_out:
             step = min(h, t_out - now)
-            u, v = _taylor_step(u, v, step, L, c, norm)
+            m00, m01, m10, m11 = full if step == h else _taylor_matrix(step, L, c, norm)
+            u, v = m00 * u + m01 * v, m10 * u + m11 * v
             now = t_out if step == t_out - now else now + step
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise OverflowError(f"oracle state overflows a float by t={t_out:g}")
         out_u[k], out_v[k] = u, v
     return out_u, out_v

@@ -9,7 +9,7 @@ from logdamp_lab.data_catalog import make_profile
 from logdamp_lab.propagator import PropagatorMode, carrier_frequency, \
     closed_form_coefficients, oracle_grid, propagate_closed
 from logdamp_lab.quadrature import integrate, surface_area
-from logdamp_lab.symbols import PI_SQ
+from logdamp_lab.symbols import PI_SQ, energy_e0
 
 PI = math.pi
 
@@ -319,6 +319,22 @@ def test_inequality_sweep_all_pass():
     assert len(checks) == 5
     for c in checks:
         assert c.passed, c.description
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sweep_energies_match_the_materialised_states(seed):
+    # the factored E0(t) and |u|^2 against energy_e0 and |u_hat|^2 of the
+    # closed-form states on the same grid; |u|^2 comes close to zero between
+    # carrier phases, so its gap is taken relative to the bound
+    # 8 E0 / (L^2 + pi^2) >= |u|^2 of the same state
+    u0, u1, radii, times = xp._solution_grid(np.random.default_rng(seed))
+    e0_t, u2_t = xp._solution_energies(u0, u1, radii, times)
+    st = propagate_closed(u0, u1, radii, times)
+    e0_ref, u2_ref = energy_e0(st, radii), np.abs(st.u_hat) ** 2
+    L = np.log1p(radii * radii)
+    assert e0_t.shape == u2_t.shape == (10, 200, 100)
+    assert np.max(np.abs(e0_t - e0_ref) / e0_ref) <= 1e-13
+    assert np.max(np.abs(u2_t - u2_ref) / (8.0 * e0_ref / (L * L + PI_SQ))) <= 1e-13
 
 
 def test_differential_sweep_measures_the_known_violation():

@@ -167,7 +167,7 @@ def test_oracle_refuses_a_run_over_the_step_budget(monkeypatch):
     def no_step(*args):
         raise AssertionError("stepped before refusing")
 
-    monkeypatch.setattr(prop, "_taylor_step", no_step)
+    monkeypatch.setattr(prop, "_taylor_matrix", no_step)
     with pytest.raises(ValueError, match=r"needs up to 2094825 steps .* t=1e\+06"):
         prop.oracle_grid(1.0, 0.0, 5.0, np.array([1e6]))
 
@@ -183,8 +183,55 @@ def test_oracle_refuses_non_finite_input(u0, u1, r):
 
 
 def test_oracle_refuses_an_overflowing_term():
+    # at r = 0, v = -(pi/2) u0 sin(pi t/2) peaks at (pi/2) 1.7e308 at t = 1,
+    # past the largest float
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
-        prop.oracle_grid(1e308, 0.0, 10.0, np.array([1.0]))
+        prop.oracle_grid(1.7e308, 0.0, 0.0, np.array([1.0]))
+
+
+def test_oracle_is_linear_up_to_the_float_range():
+    # the true state from u0 = 1e308 at r = 10 stays finite; only the
+    # closed form's b_v overflows there, so the unit datum is the reference
+    big_u, big_v = prop.oracle_grid(1e308, 0.0, 10.0, np.array([1.0]))
+    unit_u, unit_v = prop.oracle_grid(1.0, 0.0, 10.0, np.array([1.0]))
+    for big, unit in ((big_u, unit_u), (big_v, unit_v)):
+        assert np.all(np.isfinite(big))
+        assert abs(big[0] - 1e308 * unit[0]) <= 1e-12 * abs(1e308 * unit[0])
+
+
+@pytest.mark.parametrize("L", [0.0, math.log(101.0)])
+@pytest.mark.parametrize("landing", [False, True])
+def test_taylor_matrix_matches_expm(L, landing):
+    # the certified step matrix against scipy's Pade exp(hA), for the full
+    # step and for the step that lands on t = 0.5
+    from scipy.linalg import expm
+
+    c = 0.25 * (L * L + PI * PI)
+    norm = max(1.0, c + L)
+    h = 4.0 / norm
+    if landing:
+        h = 0.5 - math.floor(0.5 / h) * h
+    m00, m01, m10, m11 = prop._taylor_matrix(h, np.array([L]), np.array([c]), norm)
+    ours = np.array([[m00[0], m01[0]], [m10[0], m11[0]]])
+    ref = expm(h * np.array([[0.0, 1.0], [-c, -L]]))
+    assert np.max(np.sum(np.abs(ours - ref), axis=1)) <= 1e-11
+
+
+def test_oracle_builds_one_matrix_per_step_length(monkeypatch):
+    # the simulate cross-check: one matrix for the full step and one per
+    # landing step, not one series per step
+    calls = []
+    build = prop._taylor_matrix
+
+    def counted(*args):
+        calls.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(prop, "_taylor_matrix", counted)
+    u0s, u1s = (x.reshape(-1, 1) for x in _random_states(np.random.default_rng(0), 5))
+    t_out = np.array([0.5, 2.0, 5.0, 10.0, 20.0])
+    prop.oracle_grid(u0s, u1s, np.linspace(0.0, 10.0, 21), t_out)
+    assert 0 < len(calls) <= len(t_out) + 1
 
 
 def test_oracle_grid_validation():
