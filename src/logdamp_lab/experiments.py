@@ -391,8 +391,9 @@ def profile_error_trace(profile_u1, N, tgrid, region="low", rel_tol=1e-9) -> Tra
 
 
 def optimality_trace(N, tgrid):
-    """Raw and t^{N/2}-normalized traces of the sin^2 comparison integral,
-    plus its two-sided window checks, the substitution-oracle agreement and
+    """Raw and t^{N/2}-normalized traces of the sin^2 comparison integral (one
+    quadrature.optimality_integral call for the whole trace), plus its
+    two-sided window checks, the substitution-oracle agreement and
     the sin^2 <= 1 majorant omega_N (I_{N-1} + J_{N-1}), taken in closed form
     as omega_N B(N/2, t - N/2) / 2 through quadrature.log_beta, and the
     anchors A_N and F_N(t_hi) that its floor check used."""
@@ -403,7 +404,7 @@ def optimality_trace(N, tgrid):
         t_over = float(times[~np.isfinite(scale)][0])
         raise ValueError(f"normalized comparison integral at N={N}, t={t_over:g}: "
                          f"t^(N/2) overflows a float")
-    raw = np.array([quadrature.optimality_integral(N, float(t)) for t in times])
+    raw = quadrature.optimality_integral(N, times)
     oracle = np.array([quadrature.substitution_oracle(N, float(t)) for t in times])
     norm = raw * scale
 

@@ -75,6 +75,10 @@ def closed_form_coefficients(u0, u1, L, mode=PropagatorMode.ODE):
     return u0, b_u, u1, b_v
 
 
+# propagate_closed scales data of modulus 2^_SCALE_EXPONENT or more below it
+_SCALE_EXPONENT = 512
+
+
 def propagate_closed(u0, u1, r, t, mode=PropagatorMode.ODE) -> SpectralState:
     """Closed-form state at time t from data (u0, u1) at radius r.
 
@@ -83,12 +87,25 @@ def propagate_closed(u0, u1, r, t, mode=PropagatorMode.ODE) -> SpectralState:
     the exact analytic one, so the returned pair solves the mode's own
     equation with no discretisation error.  Broadcasts over r and t.  Real
     data give a real state, complex data a complex one.
+
+    Data of modulus 2^512 or more are scaled by a power of two to below
+    2^512 before the coefficients are formed, and the state is scaled back:
+    |b_v| reaches 6.5e5 max(|u0|, |u1|) over the float range of r, so it
+    would overflow where the state is finite.  Power-of-two scaling is exact, and
+    smaller data are not scaled at all.
     """
     nu = carrier_frequency(mode)
     L = log_symbol(r)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("requires t >= 0")
+    _, exponent = np.frexp(np.maximum(np.abs(u0), np.abs(u1)))
+    shift = np.maximum(exponent - _SCALE_EXPONENT, 0)
+    if np.any(shift):
+        down = np.ldexp(1.0, -shift)
+        st = propagate_closed(u0 * down, u1 * down, r, t, mode)
+        up = np.ldexp(1.0, shift)
+        return SpectralState(st.u_hat * up, st.v_hat * up)
     a_u, b_u, a_v, b_v = closed_form_coefficients(u0, u1, L, mode)
 
     env = np.exp(-0.5 * L * t)

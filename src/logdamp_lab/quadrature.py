@@ -11,11 +11,15 @@ scipy's quad_vec), each is held to its own target, and a panel is bisected
 while any component misses its target.  On top of it sit the model integrals
 I_p / J_p, the sin^2 comparison integral with its substitution oracle and
 the Gaussian moments A_N / F_N(t); :func:`log_beta` gives their sum
-I_p + J_p = B((p+1)/2, t-(p+1)/2)/2 in closed form.  One loop,
-:func:`_tail_cut`, cuts the improper tails of J_p and of both comparison
-routes: its first cut is sized by an estimate of the value, and it certifies a
-cut with the bound (1+R^2)^{-(t-N/2)} / (2(t-N/2)) or refuses with
-TailNotBounded.
+I_p + J_p = B((p+1)/2, t-(p+1)/2)/2 in closed form.  The comparison integral
+is taken by steepest descent (:func:`optimality_integral`): its mean half is
+that Beta function, and its cosine half moves onto a path through the saddle
+of e^{-t y^2 + 2ity}, where it no longer oscillates at the frequency t; the
+substitution oracle stays on the real axis as its independent check.  One
+loop, :func:`_tail_cut`, cuts the improper tails of J_p, of the oracle and of
+the contour's second leg: its first cut is sized by an estimate of the value,
+and it certifies a cut with a bound factor e^{-(t-N/2) y^2} / (2(t-N/2)) or
+refuses with TailNotBounded.
 
 Oscillatory integrands are handled by seeding panel edges where the known
 phase crosses a multiple of pi/2 (half a period of sin^2), never by letting
@@ -82,6 +86,11 @@ _KG_W = np.stack([_K15_W, _K15_W], axis=1)
 _KG_W[1::2, 1] -= _G7_W
 
 _CMP_TOL = 1e-10  # relative tolerance of both routes to the comparison integral
+# leg 2 of the contour route costs a few hundred evals where it is taken at
+# all, so it is held three digits tighter: cut at _CMP_TOL, its tail leaves
+# up to 7e-14 of the value near t = N/2 + 1, and a skip at _CMP_TOL up to
+# 1.5e-12 near t = 30 (N = 3), far more than the rest of the route
+_LEG_TWO_TOL = 1e-3 * _CMP_TOL
 # the first tail cut leaves this fraction of rel_tol times the value estimate:
 # a tenth of what the certifying test allows, so an estimate up to 10x high
 # still certifies in one pass
@@ -390,9 +399,10 @@ def _tail_cut(name: str, N: float, t: float, rel_tol: float, head: Callable,
     """An integral from r_lo to infinity: the one cut loop of this module.
 
     head(y, R) integrates from r_lo to R = log_radius(y^2) to relative
-    rel_tol; the tail beyond R must be at most factor e^{-(t-N/2) y^2} /
-    (2(t-N/2)), which factor 1 gives for |f| <= (1+r^2)^{-t} r^{N-1}, N >= 2
-    (as r^{N-2} <= (1+r^2)^{(N-2)/2}).  log_scale is the log of an estimate of
+    rel_tol (leg 2 of the contour route cuts at x = y and ignores R); the
+    tail beyond R must be at most factor e^{-(t-N/2) y^2} / (2(t-N/2)), which
+    factor 1 gives for |f| <= (1+r^2)^{-t} r^{N-1}, N >= 2 (as r^{N-2} <=
+    (1+r^2)^{(N-2)/2}).  log_scale is the log of an estimate of
     |value|, passed as a log since the value itself may underflow: the first
     cut is where the bound meets _FIRST_CUT rel_tol e^{log_scale}, but not
     below r_lo nor y^2 = 1/(t-N/2), so that y > 0.  y grows by 1.5 per pass
@@ -443,30 +453,121 @@ def integral_Jp(p: float, t: float) -> float:
     return _normal_value(f"J_{p:g} at t={t:g}", value)
 
 
-def optimality_integral(N: int, t: float) -> float:
-    """omega_N * int_0^inf (1+r^2)^{-t} sin^2(t sqrt(log(1+r^2))) r^{N-1} dr.
+def optimality_integral(N: int, t):
+    """omega_N * int_0^inf (1+r^2)^{-t} sin^2(t sqrt(log(1+r^2))) r^{N-1} dr, by
+    steepest descent: a float for a scalar t, an array for a 1-d array of times.
 
-    Panels are pre-seeded at half periods of sin^2 (:func:`phase_radii`) and
-    nowhere else; with sin^2 <= 1 the tail is cut by :func:`_tail_cut`, sized
-    by the mean half omega_N B(N/2, t-N/2)/4, so the panel count grows like
-    sqrt(t log t).  Raises ValueError when the value underflows a float.
+    In y = sqrt(log(1+r^2)) the integrand is e^{-t y^2} sin^2(t y) G(y), with
+    G(y) = y^{N-1} e^{y^2} w(y^2)^beta, w(z) = (e^z - 1)/z, beta = (N-2)/2.
+    Since sin^2 = (1 - cos 2ty)/2 the integral over omega_N is the mean half
+    B(N/2, t-N/2)/4, in closed form by :func:`log_beta`, minus (1/2) Re of
+    int_0^inf e^{-t((y-i)^2+1)} G(y) dy.  w has no zero in 0 <= Im y <= 1, so
+    that integral moves to the path 0 -> i -> i + inf through the saddle
+    y = i: :func:`_leg_one` on y = is, one vector integral over all times and
+    zero for odd N, and :func:`_leg_two` on y = x + i, integrated only where
+    its closed-form bound :func:`_leg_two_bound` exceeds 0.1 _LEG_TWO_TOL of
+    the value.  Neither leg oscillates at the frequency t, so the cost grows
+    only like log t, with leg 1's geometric seeds.  Raises ValueError unless N >= 3 and every t > N/2 + 1, and
+    when a value underflows a float.
     """
     if N < 3:
         raise ValueError("requires N >= 3")
-    if t <= N / 2.0 + 1.0:
-        raise ValueError(f"requires t > N/2 + 1 (got t={t})")
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    low = times[~(times > N / 2.0 + 1.0)]
+    if low.size:
+        raise ValueError(f"requires t > N/2 + 1 (got t={low[0]})")
+    integral = np.array([math.exp(_comparison_log_scale(N, T)) for T in times])
+    if N % 2 == 0:
+        integral -= 0.5 * _leg_one(N, times)
+    bound = _leg_two_bound(N, times)
+    for j in np.flatnonzero(bound > 0.1 * _LEG_TWO_TOL * np.abs(integral)):
+        integral[j] = _leg_two(N, float(times[j]), float(integral[j]), float(bound[j]))
+    values = [_comparison_value(N, float(T), I) for T, I in zip(times, integral)]
+    return values[0] if np.ndim(t) == 0 else np.array(values)
 
-    def f(r):
-        L = np.log1p(r * r)
-        return np.exp(-t * L) * np.sin(t * np.sqrt(L)) ** 2 * np.power(r, N - 1)
 
-    def head(y, r_hi):
-        return integrate(f, 0.0, r_hi, tol=1e-300, rel_tol=_CMP_TOL,
-                         breakpoints=phase_radii(t, 0.0, r_hi)).value
+def _leg_one(N: int, times: np.ndarray) -> np.ndarray:
+    """Re int_0^i e^{-t((y-i)^2+1)} G(y) dy for even N, one value per time.
 
-    integral = _tail_cut(f"comparison integral (N={N})", N, t, _CMP_TOL, head,
-                         _comparison_log_scale(N, t))
-    return _comparison_value(N, t, integral)
+    On y = is, G(is) i = i^N s e^{-s^2} (1 - e^{-s^2})^beta and the exponent
+    is -ts(2-s), so the value is -(-1)^beta times the integral of a positive
+    integrand over s in [0, 1] that does not oscillate.  One vector integral
+    over all times, on geometric seeds down past the peak s ~ (N-1)/(2t),
+    each time held to _CMP_TOL relative.
+    """
+    beta = 0.5 * (N - 2)
+
+    def f(s):
+        # one exp per (node, time), so that no factor underflows on its own
+        log_g = np.log(s) - s * s + beta * np.log(-np.expm1(-s * s))
+        return np.exp(log_g[:, None] - np.outer(s * (2.0 - s), times))
+
+    res = integrate(f, 0.0, 1.0, tol=1e-300, rel_tol=_CMP_TOL,
+                    breakpoints=_geom_fill(0.25 / times.max(), 1.0))
+    return -(-1.0) ** beta * res.value
+
+
+def _leg_two_bound(N: int, times: np.ndarray) -> np.ndarray:
+    """The closed-form bound e^{-t-1} 2^beta (sqrt(pi/a)/2 + 1/(2a)), a = t-N/2,
+    on |Re int_i^{i+inf} e^{-t((y-i)^2+1)} G(y) dy|, per time.
+
+    On y = x + i, |G| <= sqrt(x^2+1) e^{x^2-1} (e^{x^2-1}+1)^beta <= (1+x)
+    e^{-1} 2^beta e^{(1+beta) x^2}, so the leg's integrand e^{-t(1+x^2)} G is
+    at most e^{-t-1} 2^beta (1+x) e^{-a x^2}, and int_0^inf (1+x) e^{-a x^2} dx
+    is sqrt(pi/a)/2 + 1/(2a).  Beyond any x = X the same integral is at most
+    that bound times e^{-a X^2}, the shape :func:`_tail_cut` certifies.
+    """
+    a = times - N / 2.0
+    return (np.exp(-times - 1.0 + 0.5 * (N - 2) * math.log(2.0))
+            * (0.5 * np.sqrt(math.pi / a) + 0.5 / a))
+
+
+def _leg_two_integrand(N: int, t: float) -> Callable:
+    """x -> Re e^{-t(1+x^2)} G(x + i): the integrand of leg 2, y = x + i.
+
+    G is taken as y^{N-1} e^{y^2} w(y^2)^beta with the principal power where
+    Re y^2 < 0 (x < 1), and as y e^{(1+beta) y^2} (1 - e^{-y^2})^beta where
+    Re y^2 >= 0: there |e^{-y^2}| <= 1 keeps 1 - e^{-y^2} off the principal
+    cut, which it meets at y = i (1 - e < 0), and e^{y^2} - 1, the form
+    without e^{(1+beta) y^2} factored out, would overflow.  Both are the
+    branch that is real on the real axis, since w has no zero in
+    0 <= Im y <= 1.  Every exponential is folded into one exp, so that no
+    factor overflows at large N.
+    """
+    beta = 0.5 * (N - 2)
+
+    def f(x):
+        y = x + 1j
+        z = y * y
+        log_g = np.empty(x.shape, dtype=complex)
+        inner = x < 1.0
+        zi, zo = z[inner], z[~inner]
+        log_g[inner] = (N - 1) * np.log(y[inner]) + zi + beta * np.log(np.expm1(zi) / zi)
+        log_g[~inner] = np.log(y[~inner]) + (1.0 + beta) * zo + beta * np.log(-np.expm1(-zo))
+        return np.exp(log_g - t * (1.0 + x * x)).real
+
+    return f
+
+
+def _leg_two(N: int, t: float, base: float, bound: float) -> float:
+    """base - (1/2) Re int_i^{i+inf} e^{-t((y-i)^2+1)} G(y) dy: the comparison
+    integral over omega_N, given base, its mean half and leg 1, and bound,
+    the leg's :func:`_leg_two_bound`.
+
+    G oscillates like e^{iNx} on y = x + i, so the panels are seeded at its
+    phase points; each cut is held to _LEG_TWO_TOL of base, and the tail is cut
+    by :func:`_tail_cut` with the bound of :func:`_leg_two_bound`.
+    """
+    f = _leg_two_integrand(N, t)
+
+    def head(x_cut, r_hi):
+        return base - 0.5 * integrate(f, 0.0, x_cut, tol=_LEG_TWO_TOL * abs(base),
+                                      breakpoints=_phase_points(N, 0.0, x_cut)).value
+
+    # factor 2a bound turns _tail_cut's factor e^{-a x^2} / (2a) into bound e^{-a x^2}
+    a = t - N / 2.0
+    return _tail_cut(f"comparison integral (N={N}) on Im y = 1", N, t, _LEG_TWO_TOL, head,
+                     math.log(abs(base)), factor=2.0 * a * bound)
 
 
 def substitution_oracle(N: int, t: float) -> float:

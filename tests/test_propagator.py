@@ -199,6 +199,21 @@ def test_oracle_is_linear_up_to_the_float_range():
         assert abs(big[0] - 1e308 * unit[0]) <= 1e-12 * abs(1e308 * unit[0])
 
 
+def test_closed_form_is_finite_where_the_oracle_is():
+    # b_v = -4.96e308 overflows unscaled (a RuntimeWarning, an error under
+    # pytest); the data are scaled down by a power of two before the
+    # coefficients are formed, so the state is the oracle's
+    st = prop.propagate_closed(1e308, 0.0, 10.0, 1.0)
+    ou, ov = prop.oracle_grid(1e308, 0.0, 10.0, np.array([1.0]))
+    for closed, oracle in ((st.u_hat, ou[0]), (st.v_hat, ov[0])):
+        assert abs(closed - oracle) <= 1e-12 * abs(oracle)
+    # scaling by a power of two is exact: the bits of 2^600 times a datum are
+    # 2^600 times the bits of the datum's state
+    big = prop.propagate_closed(2.0 ** 600 * 0.3, -(2.0 ** 600) * 0.7, 10.0, 1.0)
+    unit = prop.propagate_closed(0.3, -0.7, 10.0, 1.0)
+    assert big.u_hat == 2.0 ** 600 * unit.u_hat and big.v_hat == 2.0 ** 600 * unit.v_hat
+
+
 @pytest.mark.parametrize("L", [0.0, math.log(101.0)])
 @pytest.mark.parametrize("landing", [False, True])
 def test_taylor_matrix_matches_expm(L, landing):

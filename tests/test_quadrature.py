@@ -94,7 +94,10 @@ def test_phase_radii_phase_spacing():
 @pytest.mark.parametrize("t", [1e2, 3e4])
 def test_comparison_routes_meet_their_target_on_the_phase_seeds(N, t, monkeypatch):
     # a phase step too coarse for the panel rule shows up as bisections: every
-    # integral of both comparison routes must finish in its seed pass
+    # integral of the substitution oracle must finish in its seed pass.  The
+    # contour route makes one integral here, leg 1 for even N on geometric
+    # seeds, and it too must finish in its seed pass; for odd N the mean half
+    # is the whole value and leg 2 is skipped by its bound
     calls = []
     integrate = q.integrate
 
@@ -105,9 +108,11 @@ def test_comparison_routes_meet_their_target_on_the_phase_seeds(N, t, monkeypatc
         return res
 
     monkeypatch.setattr(q, "integrate", spy)
-    q.optimality_integral(N, t)
     q.substitution_oracle(N, t)
-    assert len(calls) >= 2
+    assert len(calls) >= 1
+    oracle_calls = len(calls)
+    q.optimality_integral(N, t)
+    assert len(calls) - oracle_calls == (N % 2 == 0)
     assert all(evals == 15 * panels for evals, panels in calls)
 
 
@@ -439,7 +444,7 @@ def _integrate_spy(monkeypatch):
 
 
 @pytest.mark.parametrize("N", [3, 4])
-@pytest.mark.parametrize("route", [q.optimality_integral, q.substitution_oracle])
+@pytest.mark.parametrize("route", [q.substitution_oracle])
 def test_tail_cut_certifies_from_an_estimate_far_too_high(route, N, monkeypatch):
     # a log_scale 20 too high puts the first cut far too short: the loop's own
     # test must reject it and grow the cut until the value certifies
@@ -452,7 +457,7 @@ def test_tail_cut_certifies_from_an_estimate_far_too_high(route, N, monkeypatch)
     assert len(evals) > 1
 
 
-@pytest.mark.parametrize("route", [q.optimality_integral, q.substitution_oracle])
+@pytest.mark.parametrize("route", [q.substitution_oracle])
 @pytest.mark.parametrize("N, t, max_evals", [(200, 3455.11, None), (3, 1e4, 6000)])
 def test_comparison_routes_certify_their_first_cut(route, N, t, max_evals, monkeypatch):
     # the value-sized first cut certifies in one pass, even at N = 200 where
@@ -463,6 +468,169 @@ def test_comparison_routes_certify_their_first_cut(route, N, t, max_evals, monke
     assert len(evals) == 1
     if max_evals is not None:
         assert evals[0] <= max_evals
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_leg_two_cut_certifies_from_an_estimate_far_too_high(N, monkeypatch):
+    # the contour route's one tail cut is leg 2's, integrated at small t: a
+    # log_scale 20 too high puts its first cut far too short, and the loop's
+    # own test must reject it and grow the cut until the value certifies
+    t = 6.0
+    want = q.optimality_integral(N, t)
+    cut, heads = q._tail_cut, []
+
+    def too_high(name, N, t, rel_tol, head, log_scale, **kw):
+        def counted(y, r_hi):
+            heads.append(y)
+            return head(y, r_hi)
+
+        return cut(name, N, t, rel_tol, counted, log_scale + 20.0, **kw)
+
+    monkeypatch.setattr(q, "_tail_cut", too_high)
+    assert abs(q.optimality_integral(N, t) - want) <= 1e-12 * want
+    assert len(heads) > 1
+
+
+@pytest.mark.parametrize("N, t, calls, max_evals", [(3, 5.0, 1, 130), (200, 102.0, 2, None)])
+def test_leg_two_certifies_its_first_cut(N, t, calls, max_evals, monkeypatch):
+    # the value-sized first cut of leg 2 certifies in one pass (even N adds
+    # the one leg-1 integral); at N = 3, t = 5 it costs 90 evals, held here
+    # with about 40 % headroom
+    evals = _integrate_spy(monkeypatch)
+    q.optimality_integral(N, t)
+    assert len(evals) == calls
+    if max_evals is not None:
+        assert evals[-1] <= max_evals
+
+
+def _real_axis_reference(N, t, dps=30):
+    """The comparison integral at dps digits by mpmath on the real axis, in
+    y = sqrt(log(1+r^2)), panels at every half period of sin^2(t y)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(t)
+        beta = mpmath.mpf(N - 2) / 2
+
+        def g(y):
+            return (y * mpmath.exp((1 - t) * y * y) * mpmath.expm1(y * y) ** beta
+                    * mpmath.sin(t * y) ** 2)
+
+        Y = mpmath.sqrt((2.5 * dps + 10) / (t - mpmath.mpf(N) / 2)) + 2
+        n = int(t * Y / mpmath.pi) + 2
+        omega = 2 * mpmath.pi ** (mpmath.mpf(N) / 2) / mpmath.gamma(mpmath.mpf(N) / 2)
+        return omega * mpmath.quad(g, [Y * k / n for k in range(n + 1)])
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_contour_route_against_mpmath(N):
+    # the route reads within a few ulps of a 30-digit real-axis quadrature
+    # from just above the threshold, where leg 2 carries the value, to t = 10;
+    # the substitution oracle reads up to 9e-13 low here (its tail cut)
+    for t in (N / 2.0 + 1.01, 5.0, 10.0):
+        ref = _real_axis_reference(N, t)
+        assert abs(q.optimality_integral(N, t) - ref) <= 1e-13 * ref, t
+
+
+def _bench_grids():
+    from logdamp_lab.experiments import TimeGrid, _times
+
+    # pipeline-default's optimality grid and the corners of comparison-large-t's
+    return [_times(TimeGrid(lo, hi, 40))
+            for lo, hi in ((100.0, 1e4), (90.0, 2.9e4), (110.0, 3e4))]
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_contour_route_matches_the_oracle(N):
+    times = np.concatenate([*_bench_grids(), [1e5, 1e6, 1e8]])
+    contour = q.optimality_integral(N, times)
+    oracle = np.array([q.substitution_oracle(N, float(t)) for t in times])
+    assert np.max(np.abs(contour - oracle) / oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("t, rel", [(101.5, 1e-13), (102.0, 1e-13), (3455.11, 1e-12)])
+def test_contour_route_at_large_n(t, rel):
+    # at N = 200 the cosine half is below 1e-30 of the value here (a 40-digit
+    # real-axis quadrature), so the mean half is the reference; at t = 101.5
+    # and 102 leg 2 is integrated (its bound is 9e-12 and 4e-11 of the value),
+    # and at t = 3455.11 the value is near the float floor, where log_beta's
+    # own error is up to 5e-13
+    import mpmath
+
+    N = 200
+    with mpmath.workdps(30):
+        ref = float(2 * mpmath.pi ** (N // 2) / mpmath.gamma(N // 2)
+                    * mpmath.beta(N // 2, mpmath.mpf(t) - N // 2) / 4)
+    assert abs(q.optimality_integral(N, t) - ref) <= rel * ref
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+@pytest.mark.parametrize("t", [1e10, 1e12])
+def test_contour_route_past_the_oracle_wall(N, t):
+    # the oracle's phase seeds exceed its panel budget here; the contour route
+    # does not oscillate at frequency t.  Odd N: the value is the mean half
+    # omega_N B(N/2, t-N/2)/4 (leg 2 is below e^{-t}); even N adds leg 1,
+    # taken by mpmath
+    import mpmath
+
+    with pytest.raises(q.NonConvergence, match="seed panels"):
+        q.substitution_oracle(N, t)
+    with mpmath.workdps(30):
+        half = mpmath.beta(mpmath.mpf(N) / 2, mpmath.mpf(t) - mpmath.mpf(N) / 2) / 4
+        if N % 2 == 0:
+            beta = (N - 2) // 2
+
+            def leg_one(s):
+                return (s * mpmath.exp(-s * s) * (-mpmath.expm1(-s * s)) ** beta
+                        * mpmath.exp(-t * s * (2 - s)))
+
+            peak = mpmath.mpf(N - 1) / (2 * t)
+            half += (-1) ** beta * mpmath.quad(leg_one, [0, peak, 10 * peak, 100 * peak, 1]) / 2
+        ref = float(2 * mpmath.pi ** (mpmath.mpf(N) / 2) / mpmath.gamma(mpmath.mpf(N) / 2) * half)
+    assert abs(q.optimality_integral(N, t) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("N", [3, 4, 6, 200])
+def test_contour_route_array_call_equals_scalar_calls(N):
+    times = N / 2.0 + np.array([1.01, 4.0, 40.0, 150.0, 1e3, 3e3])
+    values = q.optimality_integral(N, times)
+    assert isinstance(values, np.ndarray) and values.shape == times.shape
+    scalars = [q.optimality_integral(N, float(t)) for t in times]
+    assert all(isinstance(v, float) for v in scalars)
+    assert np.max(np.abs(values - scalars) / values) <= 1e-14
+
+
+def _leg_two_value(N, t, bound):
+    """Re of leg 2 at one time, integrated to 1e-6 of its bound with a cut far
+    past where the bound falls below 1e-30 of itself."""
+    x_cut = math.sqrt(70.0 / (t - N / 2.0)) + 1.0
+    return q.integrate(q._leg_two_integrand(N, t), 0.0, x_cut, tol=1e-6 * bound,
+                       breakpoints=q._phase_points(N, 0.0, x_cut)).value
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8, 9, 10, 200])
+def test_leg_two_bound_holds(N):
+    # |Re leg 2| <= e^{-t-1} 2^beta (sqrt(pi/a)/2 + 1/(2a)) from just above the
+    # threshold on; at N = 3 the bound is within a factor 3.2 of the leg, at
+    # N = 200 it is loose by more than e^{114}
+    times = q.geom_points(N / 2.0 + 1.01, max(40.0, N / 2.0 + 40.0), 8)
+    for t, bound in zip(times, q._leg_two_bound(N, times)):
+        assert abs(_leg_two_value(N, float(t), bound)) <= bound, t
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 10])
+def test_skipping_leg_two_moves_no_value(N, monkeypatch):
+    # from the threshold to t = 60, which spans the time where the bound
+    # starts to skip leg 2: integrating it anyway moves no value past 1e-14
+    # (a skip at 0.1 _CMP_TOL in place of 0.1 _LEG_TWO_TOL moves N = 3 by 1.5e-12)
+    times = q.geom_points(N / 2.0 + 1.01, 60.0, 24)
+    values = q.optimality_integral(N, times)
+    skipped = q._leg_two_bound(N, times) <= 0.1 * q._LEG_TWO_TOL * values / q.surface_area(N)
+    assert skipped.any() and not skipped.all()
+    bound = q._leg_two_bound
+    monkeypatch.setattr(q, "_leg_two_bound", lambda N, times: 1e30 * bound(N, times))
+    forced = q.optimality_integral(N, times)
+    assert np.max(np.abs(forced - values) / values) <= 1e-14
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 10, 50, 200])
