@@ -26,9 +26,11 @@ from .symbols import log_symbol
 class DataProfile:
     """An initial datum, described entirely on the frequency side.
 
-    hat_radial is the real-valued transform as a function of the radius and is
-    None for non-radial data; hat_abs_radial gives |hat| as a function of the
-    radius (available for every catalog entry).  l11 = ||u||_{L^{1,1}} =
+    hat_z is the transform as a function of z = |xi|^2, real for real z and
+    defined for complex z (the contour routes evaluate it off the real axis),
+    and is None for non-radial data; hat_radial is hat_z at r * r.
+    hat_abs_radial gives |hat| as a function of the radius (available for
+    every catalog entry).  l11 = ||u||_{L^{1,1}} =
     int (1 + |x|) |u| is None for non-radial data: its one reader, the profile
     experiment, refuses them.  envelope = (A, alpha) certifies |hat(xi)| <= A exp(-alpha |xi|^2)
     for tail cutoffs.
@@ -39,13 +41,18 @@ class DataProfile:
     params: tuple
     P1: float
     l11: float | None
-    hat_radial: Callable | None = field(repr=False)
+    hat_z: Callable | None = field(repr=False)
     hat_abs_radial: Callable = field(repr=False)
     envelope: tuple[float, float] = (0.0, 1.0)
 
     @property
+    def hat_radial(self) -> Callable | None:
+        """The transform as a function of the radius, or None for non-radial data."""
+        return None if self.hat_z is None else _at_radius(self.hat_z)
+
+    @property
     def is_radial(self) -> bool:
-        return self.hat_radial is not None
+        return self.hat_z is not None
 
     @property
     def is_zero(self) -> bool:
@@ -64,6 +71,20 @@ class ProfileTerms:
     f1: float | np.ndarray
     f2: float | np.ndarray
     f3: float | np.ndarray
+
+
+def _at_radius(hat_z: Callable) -> Callable:
+    """r -> hat_z(r * r): a transform in z = r^2 as a function of the radius."""
+    def hat_r(r):
+        r = np.asarray(r, dtype=float)
+        return hat_z(r * r)
+
+    return hat_r
+
+
+def _gaussian_z(amp: float, a: float) -> Callable:
+    """The transform amp exp(-z/(4a)) of a Gaussian of width a, in z = r^2."""
+    return lambda z: amp * np.exp(-z / (4.0 * a))
 
 
 def _weighted_radial_norm(u_abs: Callable, N: int, r_hi: float,
@@ -94,10 +115,10 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
     if kind == "zero":
         if params:
             raise ValueError(f"unknown zero parameters: {sorted(params)}")
-        zero_r = lambda r: np.zeros_like(np.asarray(r, dtype=float))
         return DataProfile(
             kind="zero", N=N, params=(), P1=0.0, l11=0.0,
-            hat_radial=zero_r, hat_abs_radial=zero_r, envelope=(0.0, 1.0),
+            hat_z=np.zeros_like, hat_abs_radial=_at_radius(np.zeros_like),
+            envelope=(0.0, 1.0),
         )
 
     if kind == "gaussian":
@@ -107,16 +128,13 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
         if a <= 0:
             raise ValueError("gaussian width a must be positive")
         amp = (math.pi / a) ** (N / 2.0)
-
-        def hat_r(r, amp=amp, a=a):
-            return amp * np.exp(-np.asarray(r, dtype=float) ** 2 / (4.0 * a))
-
+        hat_z = _gaussian_z(amp, a)
         l11 = amp + quadrature.surface_area(N) * math.exp(
             math.lgamma(0.5 * (N + 1))
         ) / (2.0 * a ** (0.5 * (N + 1)))
         return DataProfile(
             kind="gaussian", N=N, params=(("a", a),), P1=amp, l11=l11,
-            hat_radial=hat_r, hat_abs_radial=hat_r, envelope=(amp, 1.0 / (4.0 * a)),
+            hat_z=hat_z, hat_abs_radial=_at_radius(hat_z), envelope=(amp, 1.0 / (4.0 * a)),
         )
 
     if kind == "zero_mean_pair":
@@ -124,10 +142,11 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
             raise ValueError(f"unknown zero_mean_pair parameters: {sorted(params)}")
         amp = math.pi ** (N / 2.0)
 
-        def hat_r(r, amp=amp):
-            r = np.asarray(r, dtype=float)
-            # e^{-r^2/4} - e^{-r^2/8} without the cancellation at small r
-            return amp * np.exp(-r * r / 8.0) * np.expm1(-r * r / 8.0)
+        def hat_z(z, amp=amp):
+            # e^{-z/4} - e^{-z/8} without the cancellation at small z
+            return amp * np.exp(-z / 8.0) * np.expm1(-z / 8.0)
+
+        hat_r = _at_radius(hat_z)
 
         def u_abs(r):
             r = np.asarray(r, dtype=float)
@@ -137,7 +156,7 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
         l1, first_moment = _weighted_radial_norm(u_abs, N, 14.0, breakpoints=[r_star])
         return DataProfile(
             kind="zero_mean_pair", N=N, params=(), P1=0.0, l11=l1 + first_moment,
-            hat_radial=hat_r, hat_abs_radial=lambda r: np.abs(hat_r(r)),
+            hat_z=hat_z, hat_abs_radial=lambda r: np.abs(hat_r(r)),
             envelope=(amp, 1.0 / 8.0),
         )
 
@@ -148,14 +167,12 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
         if c < 0:
             raise ValueError("offset must be nonnegative")
         amp = math.pi ** (N / 2.0)
-
-        # the offset only turns the phase of hat, which no experiment reads
-        def hat_abs(r, amp=amp):
-            return amp * np.exp(-np.asarray(r, dtype=float) ** 2 / 4.0)
-
+        # the offset only turns the phase of hat, which no experiment reads:
+        # the modulus is the a = 1 Gaussian's transform
         return DataProfile(
             kind="shifted_gaussian", N=N, params=(("offset", c),), P1=amp, l11=None,
-            hat_radial=None, hat_abs_radial=hat_abs, envelope=(amp, 0.25),
+            hat_z=None, hat_abs_radial=_at_radius(_gaussian_z(amp, 1.0)),
+            envelope=(amp, 0.25),
         )
 
     raise ValueError(f"unknown profile kind {kind!r}")

@@ -293,6 +293,15 @@ def energy_identity_residual(profile_u0, profile_u1, N, t,
 # profile-error traces (quarter-frequency mode, zero displacement datum)
 
 
+def _low_band_log_estimate(P1, N, t, s4) -> float:
+    """log of the leading term (8/pi^2) P1^2 (s4^2 + 1/2) Gamma(N/2) t^{-N/2} of
+    the low band of a mass datum before _trace_norm(N), s4 = sin(pi t/4): the
+    estimate that sizes its real-axis cut and its contour's certificate.
+    Broadcasts over t and s4."""
+    return (np.log((8.0 / PI_SQ) * (s4 * s4 + 0.5)) + 2.0 * math.log(abs(P1))
+            + math.lgamma(N / 2.0) - (N / 2.0) * np.log(t))
+
+
 def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
     """(2 pi)^{-N} omega_N * int_lo^hi (16/pi^2) e^{-Lt} (sin(pi t/4) hat -
     P1 sin(t sqrt L))^2 r^{N-1} dr at one time t, with hi=None for infinity.
@@ -330,8 +339,7 @@ def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
             return band(r_cut, r_cut)
 
         factor = (16.0 / PI_SQ) * (profile.envelope[0] + abs(P1)) ** 2
-        log_scale = (math.log((8.0 / PI_SQ) * (s4 * s4 + 0.5)) + 2.0 * math.log(abs(P1))
-                     + math.lgamma(N / 2.0) - (N / 2.0) * math.log(t))
+        log_scale = _low_band_log_estimate(P1, N, t, s4)
         value = quadrature._tail_cut(f"profile error (N={N})", N, t, rel_tol, head,
                                      log_scale, factor=factor)
         return _trace_norm(N) * value
@@ -358,6 +366,136 @@ def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
     return _trace_norm(N) * band(hi, r_osc_hi)
 
 
+# the low band's end, r = 1, in y = sqrt(log(1 + r^2))
+_Y_LOW = math.sqrt(math.log(2.0))
+# the contour's geometric seeds: 32 on each of its two integrals (the flat
+# one over x in [0, Y] and the rising one over y = is), down to these
+# fractions of its end; with them neither bisects for N = 3..6 and t from 40
+# to 1e8, so every sample keeps the bits of its one-time call
+_FLAT_SEED_LO = 1e-5
+_RISE_SEED_LO = 1e-8
+# the largest relative gap between a contour sample and its real-axis check,
+# and the largest time checked (the real axis costs about sqrt(t))
+_CONTOUR_GAP = 1e-10
+_CHECK_T_MAX = 1e6
+
+
+def _third_legs_log_bound(profile, N, t, s4) -> float:
+    """log of a bound on what :func:`_low_band_contour` drops at time t, in the
+    units of :func:`_low_band_log_estimate`: (16/pi^2) ((P1^2/2) |T_2| +
+    2 |s4 P1| |T_1|), T_w the third leg of C_w.
+
+    T_w runs down Re y = Y from Y + iw/2, where |e^{-ty^2 + iwty}| = 2^{-t}
+    e^{-t sigma (w - sigma)}, so |T_w| <= 2^{-t} max |F_w| 2/(wt).  There
+    |G| = |y| |e^{y^2}| |e^{y^2} - 1|^beta <= 2 3^beta sqrt(Y^2 + w^2/4), and
+    on the w = 1 leg Re z = Re e^{y^2} - 1 >= 2 e^{-1/4} cos(Y) - 1 > 0, where
+    a Gaussian's transform amp e^{-z/(4a)} (the catalog's mass data) is at
+    most the envelope amplitude A.  Broadcasts over t and s4.
+    """
+    P1, A = abs(profile.P1), profile.envelope[0]
+    legs = (0.5 * P1 * P1 * math.hypot(_Y_LOW, 1.0)
+            + 4.0 * np.abs(s4) * P1 * A * math.hypot(_Y_LOW, 0.5)) / t
+    # 2 3^beta as a log, since 3^beta overflows a float from N = 1295 on
+    return (math.log(32.0 / PI_SQ) + 0.5 * (N - 2) * math.log(3.0) + np.log(legs)
+            - t * math.log(2.0))
+
+
+def _low_band_contour_mask(profile, N, times, rel_tol) -> np.ndarray:
+    """Where :func:`_low_band_contour` may give the low band of a mass datum:
+    the times t > 0 whose :func:`_third_legs_log_bound` is at most 0.1
+    rel_tol of the leading term :func:`_low_band_log_estimate`."""
+    take = times > 0.0
+    t = times[take]
+    s4 = np.sin(math.pi * t / 4.0)
+    take[take] = (_third_legs_log_bound(profile, N, t, s4)
+                  <= math.log(0.1 * rel_tol) + _low_band_log_estimate(profile.P1, N, t, s4))
+    return take
+
+
+def _low_band_contour(profile, N, times, rel_tol=1e-9) -> np.ndarray:
+    """The low-band profile error of a mass datum at each of times, by steepest
+    descent (Huybrechs & Vandewalle 2006): two vector integrals for the trace.
+
+    In y = sqrt(log(1+r^2)) the band is int_0^Y e^{-ty^2} (s4 H - P1 sin ty)^2
+    G dy, Y = sqrt(log 2), with H = hat_z(e^{y^2} - 1), G as in
+    :func:`quadrature._log_g` and s4 = sin(pi t/4).  With sin^2 = (1 - cos
+    2ty)/2 it is s4^2 int e^{-ty^2} H^2 G + (P1^2/2) int e^{-ty^2} G - (P1^2/2)
+    Re C_2 - 2 s4 P1 Im C_1, where C_w = int_0^Y e^{-ty^2 + iwty} F_w, F_2 = G
+    and F_1 = HG.  Each C_w moves to the path 0 -> iw/2 -> iw/2 + Y -> Y
+    through its saddle y = iw/2:
+      - on y = x + iw/2 the exponent is -t(x^2 + w^2/4), so the two phase-free
+        terms and both of these legs are one vector integral over x in [0, Y];
+      - on y = is the exponent is ts^2 - wts and i F_w(is) is i^N times a real
+        function, so only Re C_2's leg (even N, s in [0, 1]) or Im C_1's (odd
+        N, s in [0, 1/2]) is nonzero: one more vector integral;
+      - the third legs, at Re y = Y, are dropped: the caller takes the contour
+        only where :func:`_third_legs_log_bound` makes them negligible.
+    Neither integral oscillates at the frequency t.  Both are seeded from the
+    band alone (32 geometric points each), and the products are elementwise
+    with one real exp per (time, node), so each sample keeps the bits of its
+    one-time call wherever neither integral bisects.
+    """
+    P1, hat_z, beta = profile.P1, profile.hat_z, 0.5 * (N - 2)
+    half_p1_sq = 0.5 * P1 * P1
+    s4 = np.sin(math.pi * times / 4.0)
+    t_col = times.reshape(-1, 1)
+    neg_t = -t_col
+    c_flat = (s4 * s4).reshape(-1, 1)
+    c_two = (half_p1_sq * np.exp(-times)).reshape(-1, 1)
+    c_one = (2.0 * P1 * s4 * np.exp(-0.25 * times)).reshape(-1, 1)
+
+    def flat(x):
+        # per-node factors first, (time, node) products after
+        z = x * x
+        g = x * np.exp(z) * np.expm1(z) ** beta
+        h = hat_z(np.expm1(z))
+        y1, y2 = x + 0.5j, x + 1j
+        leg_one = (hat_z(np.expm1(y1 * y1)) * np.exp(quadrature._log_g(N, y1))).imag
+        leg_two = np.exp(quadrature._log_g(N, y2)).real
+        dens = c_flat * (h * h * g)
+        dens += half_p1_sq * g
+        dens -= c_two * leg_two
+        dens -= c_one * leg_one
+        dens *= np.exp(neg_t * z)
+        # (time, node) as (node, time): a transposed view, no copy
+        return dens.T
+
+    w = 1.0 if N % 2 else 2.0
+
+    def rise(s):
+        y = 1j * s
+        i_g = 1j * np.exp(quadrature._log_g(N, y))
+        f = (hat_z(np.expm1(y * y)) * i_g).imag if N % 2 else i_g.real
+        return (f * np.exp(t_col * (s * (s - w)))).T
+
+    def leg(f, end, seed_lo):
+        seeds = quadrature.geom_points(seed_lo * end, end, 32)
+        return quadrature.integrate(f, 0.0, end, tol=1e-300, rel_tol=rel_tol,
+                                    breakpoints=seeds).value
+
+    on_flat, on_rise = leg(flat, _Y_LOW, _FLAT_SEED_LO), leg(rise, 0.5 * w, _RISE_SEED_LO)
+    coef = -2.0 * P1 * s4 if N % 2 else -half_p1_sq
+    return _trace_norm(N) * (16.0 / PI_SQ) * (on_flat + coef * on_rise)
+
+
+def _check_contour(profile, N, times, values, rel_tol) -> None:
+    """Recompute the first, middle and last samples up to _CHECK_T_MAX on the
+    real axis (:func:`_profile_error_value`, held to a tenth of _CONTOUR_GAP
+    or rel_tol, whichever is tighter); raise NonConvergence, naming N and t,
+    where one differs by more than _CONTOUR_GAP relative."""
+    checked = np.flatnonzero(times <= _CHECK_T_MAX)
+    if not checked.size:
+        return
+    for j in sorted({checked[0], checked[checked.size // 2], checked[-1]}):
+        t = float(times[j])
+        ref = _profile_error_value(profile, N, t, 0.0, 1.0, min(rel_tol, 0.1 * _CONTOUR_GAP))
+        gap = abs(values[j] - ref) / abs(ref)
+        if not gap <= _CONTOUR_GAP:
+            raise quadrature.NonConvergence(
+                f"low-band profile error at N={N}, t={t:g}: the contour and the real "
+                f"axis differ by {gap:.3e} relative (limit {_CONTOUR_GAP:g})")
+
+
 def profile_error_trace(profile_u1, N, tgrid, region="low", rel_tol=1e-9) -> Trace:
     """Squared distance between the solution and its wave-like leading term.
 
@@ -366,8 +504,10 @@ def profile_error_trace(profile_u1, N, tgrid, region="low", rel_tol=1e-9) -> Tra
     radius 1: "low" is [0, 1], "high" is [1, inf), "all" their union.  For a
     zero-mass datum the leading term vanishes, so the error is the
     quarter-frequency L^2 density of the band: one vector integral over all
-    times by :func:`_spectral_quadratic`.  A mass datum takes one
-    :func:`_profile_error_value` per time.
+    times by :func:`_spectral_quadratic`.  A mass datum's low band is
+    :func:`_low_band_contour` at every time its third-leg bound certifies,
+    checked on the real axis by :func:`_check_contour`; every other time and
+    region takes one :func:`_profile_error_value`.
     """
     if not profile_u1.is_radial:
         raise ValueError("profile error traces need a radial datum")
@@ -380,9 +520,14 @@ def profile_error_trace(profile_u1, N, tgrid, region="low", rel_tol=1e-9) -> Tra
                                    PropagatorMode.PAPER, wu=_unit, rel_tol=rel_tol,
                                    lo=lo, hi=hi)
     else:
-        vals = [0.0 if t == 0.0 else _profile_error_value(profile_u1, N, float(t), lo, hi,
-                                                          rel_tol)
-                for t in times]
+        vals = np.zeros(times.shape)
+        take = (_low_band_contour_mask(profile_u1, N, times, rel_tol) if region == "low"
+                else np.zeros(times.shape, dtype=bool))
+        if np.any(take):
+            vals[take] = _low_band_contour(profile_u1, N, times[take], rel_tol)
+            _check_contour(profile_u1, N, times[take], vals[take], rel_tol)
+        for j in np.flatnonzero(~take & (times != 0.0)):
+            vals[j] = _profile_error_value(profile_u1, N, float(times[j]), lo, hi, rel_tol)
     return Trace(times, vals, f"profile-error-{region}")
 
 

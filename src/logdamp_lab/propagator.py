@@ -25,6 +25,7 @@ needs a matrix of its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from enum import Enum
@@ -75,10 +76,35 @@ def closed_form_coefficients(u0, u1, L, mode=PropagatorMode.ODE):
     return u0, b_u, u1, b_v
 
 
-# propagate_closed scales data of modulus 2^_SCALE_EXPONENT or more below it
+# data of modulus 2^_SCALE_EXPONENT or more are scaled below it
 _SCALE_EXPONENT = 512
 
 
+def _scaled_data(fn):
+    """fn(u0, u1, r, t, mode), linear in the data (u0, u1), with data of
+    modulus 2^512 or more scaled by a power of two to below 2^512 and the
+    result scaled back: |b_v| reaches 6.5e5 max(|u0|, |u1|) over the float
+    range of r, so the coefficients would overflow where the result is
+    finite.  Power-of-two scaling is exact, and smaller data are not scaled
+    at all, so they keep their bits.
+    """
+
+    @functools.wraps(fn)
+    def scaled(u0, u1, r, t, mode=PropagatorMode.ODE):
+        _, exponent = np.frexp(np.maximum(np.abs(u0), np.abs(u1)))
+        shift = np.maximum(exponent - _SCALE_EXPONENT, 0)
+        if not np.any(shift):
+            return fn(u0, u1, r, t, mode)
+        down, up = np.ldexp(1.0, -shift), np.ldexp(1.0, shift)
+        out = fn(u0 * down, u1 * down, r, t, mode)
+        if isinstance(out, SpectralState):
+            return SpectralState(out.u_hat * up, out.v_hat * up)
+        return out * up
+
+    return scaled
+
+
+@_scaled_data
 def propagate_closed(u0, u1, r, t, mode=PropagatorMode.ODE) -> SpectralState:
     """Closed-form state at time t from data (u0, u1) at radius r.
 
@@ -86,26 +112,14 @@ def propagate_closed(u0, u1, r, t, mode=PropagatorMode.ODE) -> SpectralState:
     the coefficients of :func:`closed_form_coefficients`.  The derivative is
     the exact analytic one, so the returned pair solves the mode's own
     equation with no discretisation error.  Broadcasts over r and t.  Real
-    data give a real state, complex data a complex one.
-
-    Data of modulus 2^512 or more are scaled by a power of two to below
-    2^512 before the coefficients are formed, and the state is scaled back:
-    |b_v| reaches 6.5e5 max(|u0|, |u1|) over the float range of r, so it
-    would overflow where the state is finite.  Power-of-two scaling is exact, and
-    smaller data are not scaled at all.
+    data give a real state, complex data a complex one.  Data of modulus
+    2^512 or more are scaled by a power of two first (:func:`_scaled_data`).
     """
     nu = carrier_frequency(mode)
     L = log_symbol(r)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("requires t >= 0")
-    _, exponent = np.frexp(np.maximum(np.abs(u0), np.abs(u1)))
-    shift = np.maximum(exponent - _SCALE_EXPONENT, 0)
-    if np.any(shift):
-        down = np.ldexp(1.0, -shift)
-        st = propagate_closed(u0 * down, u1 * down, r, t, mode)
-        up = np.ldexp(1.0, shift)
-        return SpectralState(st.u_hat * up, st.v_hat * up)
     a_u, b_u, a_v, b_v = closed_form_coefficients(u0, u1, L, mode)
 
     env = np.exp(-0.5 * L * t)
@@ -113,6 +127,7 @@ def propagate_closed(u0, u1, r, t, mode=PropagatorMode.ODE) -> SpectralState:
     return SpectralState(env * (a_u * c + b_u * s), env * (a_v * c + b_v * s))
 
 
+@_scaled_data
 def closed_form_defect(u0, u1, r, t, mode=PropagatorMode.ODE):
     """Residual of the closed form in u'' + L u' + (L^2 + pi^2)/4 u = 0.
 
@@ -121,7 +136,8 @@ def closed_form_defect(u0, u1, r, t, mode=PropagatorMode.ODE):
     :func:`closed_form_coefficients`, so a state that is not the solution of
     those coefficients shows up as a defect.  Zero to rounding in "ode" mode;
     in "paper" mode it equals (3 pi^2 / 16) u_hat, which is reported by
-    callers rather than asserted away.
+    callers rather than asserted away.  Data of modulus 2^512 or more are
+    scaled by a power of two first, as in :func:`propagate_closed`.
     """
     nu = carrier_frequency(mode)
     st = propagate_closed(u0, u1, r, t, mode)

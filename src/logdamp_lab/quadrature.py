@@ -522,29 +522,35 @@ def _leg_two_bound(N: int, times: np.ndarray) -> np.ndarray:
             * (0.5 * np.sqrt(math.pi / a) + 0.5 / a))
 
 
-def _leg_two_integrand(N: int, t: float) -> Callable:
-    """x -> Re e^{-t(1+x^2)} G(x + i): the integrand of leg 2, y = x + i.
+def _log_g(N: int, y: np.ndarray) -> np.ndarray:
+    """log G(y), G(y) = y^{N-1} e^{y^2} w(y^2)^beta, at complex y with Re y >= 0
+    and 0 <= Im y <= 1: the one form of G off the real axis.
 
     G is taken as y^{N-1} e^{y^2} w(y^2)^beta with the principal power where
-    Re y^2 < 0 (x < 1), and as y e^{(1+beta) y^2} (1 - e^{-y^2})^beta where
-    Re y^2 >= 0: there |e^{-y^2}| <= 1 keeps 1 - e^{-y^2} off the principal
-    cut, which it meets at y = i (1 - e < 0), and e^{y^2} - 1, the form
-    without e^{(1+beta) y^2} factored out, would overflow.  Both are the
+    Re y^2 < 0 (Re y < Im y), and as y e^{(1+beta) y^2} (1 - e^{-y^2})^beta
+    where Re y^2 >= 0: there |e^{-y^2}| <= 1 keeps 1 - e^{-y^2} off the
+    principal cut, which it meets at y = i (1 - e < 0), and e^{y^2} - 1, the
+    form without e^{(1+beta) y^2} factored out, would overflow.  Both are the
     branch that is real on the real axis, since w has no zero in
-    0 <= Im y <= 1.  Every exponential is folded into one exp, so that no
-    factor overflows at large N.
+    0 <= Im y <= 1.  Callers fold it into one exp with their own exponent, so
+    that no factor overflows at large N.
     """
     beta = 0.5 * (N - 2)
+    z = y * y
+    log_g = np.empty(y.shape, dtype=complex)
+    inner = y.real < y.imag
+    zi, zo = z[inner], z[~inner]
+    log_g[inner] = (N - 1) * np.log(y[inner]) + zi + beta * np.log(np.expm1(zi) / zi)
+    log_g[~inner] = np.log(y[~inner]) + (1.0 + beta) * zo + beta * np.log(-np.expm1(-zo))
+    return log_g
+
+
+def _leg_two_integrand(N: int, t: float) -> Callable:
+    """x -> Re e^{-t(1+x^2)} G(x + i): the integrand of leg 2, y = x + i, with
+    G by :func:`_log_g`."""
 
     def f(x):
-        y = x + 1j
-        z = y * y
-        log_g = np.empty(x.shape, dtype=complex)
-        inner = x < 1.0
-        zi, zo = z[inner], z[~inner]
-        log_g[inner] = (N - 1) * np.log(y[inner]) + zi + beta * np.log(np.expm1(zi) / zi)
-        log_g[~inner] = np.log(y[~inner]) + (1.0 + beta) * zo + beta * np.log(-np.expm1(-zo))
-        return np.exp(log_g - t * (1.0 + x * x)).real
+        return np.exp(_log_g(N, x + 1j) - t * (1.0 + x * x)).real
 
     return f
 

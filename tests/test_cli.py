@@ -220,6 +220,21 @@ def test_zero_mass_profile_runs_to_ten_billion(tmp_path):
     assert all(math.isfinite(x) and x > 0 for x in v)
 
 
+def test_mass_profile_runs_to_ten_billion(tmp_path):
+    # the low band's contour has no phase panels, so no seed-panel wall; the
+    # one red check is the low-band exponent window (C6)
+    res = _invoke(["profile", "--u1", "gaussian:a=1", "--t-hi", "1e10",
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    report = json.loads((tmp_path / "profile" / "report.json").read_text())
+    failed = [c["description"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["low-band error exponent within [-0.6, -0.4]"]
+    rows = (tmp_path / "profile" / "profile-error-low.csv").read_text().split()[1:]
+    t, v = zip(*(map(float, row.split(",")) for row in rows))
+    assert max(t) > 1e9
+    assert all(math.isfinite(x) and x > 0 for x in v)
+
+
 def test_lemmas_command_passes(tmp_path):
     res = _invoke(["lemmas", "--out", str(tmp_path), "--seed", "0"])
     assert res.exit_code == 0, res.output

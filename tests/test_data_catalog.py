@@ -61,6 +61,41 @@ def test_zero_mean_pair_transform_to_a_few_ulp(N):
         assert abs(float(p.hat_radial(r)) - ex) <= 4.0 * np.finfo(float).eps * abs(ex)
 
 
+def test_hat_radial_keeps_its_bits_as_the_transform_in_z():
+    # hat_radial is hat_z at r * r; each kind's radial form before the
+    # transform moved to z = r^2, on 1e5 radii
+    r = np.concatenate([np.geomspace(1e-8, 40.0, 99_990), np.arange(10.0)])
+    for N in (3, 5):
+        for a in (0.5, 1.0, 1.767):
+            amp = (PI / a) ** (N / 2.0)
+            got = cat.make_profile("gaussian", N=N, a=a).hat_radial(r)
+            assert np.array_equal(got, amp * np.exp(-r ** 2 / (4.0 * a)))
+        amp = PI ** (N / 2.0)
+        pair = cat.make_profile("zero_mean_pair", N=N).hat_radial(r)
+        assert np.array_equal(pair, amp * np.exp(-r * r / 8.0) * np.expm1(-r * r / 8.0))
+        shifted = cat.make_profile("shifted_gaussian", N=N, offset=0.5).hat_abs_radial(r)
+        assert np.array_equal(shifted, amp * np.exp(-r ** 2 / 4.0))
+
+
+def test_transform_in_z_matches_mpmath_off_the_real_axis():
+    # the contour routes take hat_z at z = e^{y^2} - 1 for complex y
+    import mpmath
+
+    ys = (0.3 + 0.5j, 0.7j, 0.45j, 0.8 + 1j, 0.2 + 0.5j, 0.83 + 0.25j)
+    zs = [complex(np.expm1(y * y)) for y in ys] + [complex(np.exp(0.4j * k)) for k in range(8)]
+    g = cat.make_profile("gaussian", N=3, a=1.767)
+    pair = cat.make_profile("zero_mean_pair", N=4)
+    with mpmath.workdps(30):
+        for z in zs:
+            zm = mpmath.mpc(z.real, z.imag)
+            want_g = (mpmath.pi / mpmath.mpf(1.767)) ** 1.5 * mpmath.exp(-zm / (4 * mpmath.mpf(1.767)))
+            want_p = mpmath.pi ** 2 * (mpmath.exp(-zm / 4) - mpmath.exp(-zm / 8))
+            for prof, want in ((g, want_g), (pair, want_p)):
+                got = prof.hat_z(np.array([z]))[0]
+                assert abs(got - complex(want)) <= 1e-14 * abs(complex(want)), (prof.kind, z)
+    assert cat.make_profile("zero", N=3).hat_z(np.array([0.5 + 1j]))[0] == 0.0
+
+
 def test_shifted_gaussian_fields():
     p = cat.make_profile("shifted_gaussian", N=3, offset=0.8)
     assert p.hat_radial is None and not p.is_radial and p.l11 is None

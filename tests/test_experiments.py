@@ -479,7 +479,8 @@ def test_mass_low_band_takes_one_integral_per_sample(count, monkeypatch):
         for a in (0.5, 1.0, 2.0):
             g = make_profile("gaussian", N=N, a=a)
             del calls[:]
-            xp.profile_error_trace(g, N, times, "low")
+            for t in times:
+                xp._profile_error_value(g, N, float(t), 0.0, 1.0)
             assert len(calls) == count
             # cut short of the whole band: the cut, not the band, ends the range
             assert all(0.0 < b < 1.0 for _, b in calls)
@@ -522,6 +523,99 @@ def test_mass_low_band_integrates_the_whole_band_up_to_n_half_plus_one(N, monkey
     assert cut == []
     xp._profile_error_value(g, N, N / 2.0 + 1.5, 0.0, 1.0)
     assert cut == [N / 2.0 + 1.5]
+
+
+_CONTOUR_GRIDS = (xp.TimeGrid(100.0, 10_000.0, 40).times(),
+                  xp.TimeGrid(100.0, 10_000.0, 200).times())
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_mass_low_band_contour_matches_a_tight_real_axis(N):
+    # every sample of these grids is certified for the contour; the real axis
+    # is held to 1e-13, and to 1e-12 at t = 1e8, where 1e-13 needs more than
+    # the 60,000-panel budget
+    for a in (0.5, 1.0, 1.767, 2.0):
+        g = make_profile("gaussian", N=N, a=a)
+        for times in _CONTOUR_GRIDS + (np.array([1e6, 1e7, 1e8]),):
+            assert xp._low_band_contour_mask(g, N, times, 1e-9).all()
+            got = xp.profile_error_trace(g, N, times, "low").values
+            want = np.array([xp._profile_error_value(g, N, float(t), 0.0, 1.0,
+                                                     1e-13 if t < 1e8 else 1e-12)
+                             for t in times])
+            assert np.all(np.abs(got - want) <= 1e-13 * want), (a, times.size)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_mass_low_band_contour_samples_equal_their_one_time_calls(N):
+    g = make_profile("gaussian", N=N, a=1.767)
+    for times in _CONTOUR_GRIDS:
+        trace = xp.profile_error_trace(g, N, times, "low").values
+        one = [xp.profile_error_trace(g, N, times[j:j + 1], "low").values[0]
+               for j in range(times.size)]
+        assert np.array_equal(trace, one)
+
+
+def _third_leg(profile, N, t, w):
+    """|T_w|, the leg of C_w = int_0^Y e^{-ty^2 + iwty} F_w dy that the contour
+    drops: y = Y + i sigma, sigma in [0, w/2], F_2 = G and F_1 = HG."""
+    Y = xp._Y_LOW
+
+    def f(sigma):
+        y = Y + 1j * sigma
+        F = np.exp(xp.quadrature._log_g(N, y))
+        if w == 1.0:
+            F = F * profile.hat_z(np.expm1(y * y))
+        v = 1j * F * np.exp(-t * y * y + 1j * w * t * y)
+        return np.stack([v.real, v.imag], axis=1)
+
+    res = integrate(f, 0.0, 0.5 * w, tol=1e-300, rel_tol=1e-10,
+                    breakpoints=np.linspace(0.0, 0.5 * w, 65))
+    return math.hypot(*res.value)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_third_leg_bound_holds(N):
+    # (16/pi^2) ((P1^2/2) |T_2| + 2 |s4 P1| |T_1|) against its closed-form
+    # bound, from just above N/2 + 1 past the times where the contour starts
+    for a in (0.5, 1.0, 2.0):
+        g = make_profile("gaussian", N=N, a=a)
+        for t in np.linspace(N / 2.0 + 1.01, 60.0, 23):
+            s4 = math.sin(PI * t / 4.0)
+            dropped = (16.0 / PI_SQ) * (0.5 * g.P1 ** 2 * _third_leg(g, N, t, 2.0)
+                                        + 2.0 * abs(s4 * g.P1) * _third_leg(g, N, t, 1.0))
+            assert dropped <= math.exp(xp._third_legs_log_bound(g, N, t, s4)), (a, t)
+
+
+def test_contour_check_refuses_a_perturbed_value(monkeypatch):
+    # the real axis recomputes the first, middle and last contour samples; a
+    # contour off by 1e-9 relative is refused, naming N and t
+    real = xp._low_band_contour
+    monkeypatch.setattr(xp, "_low_band_contour",
+                        lambda *args, **kwargs: real(*args, **kwargs) * (1.0 + 1e-9))
+    g = make_profile("gaussian", N=3, a=1.0)
+    with pytest.raises(xp.quadrature.NonConvergence, match=r"N=3, t=100:"):
+        xp.profile_error_trace(g, 3, _CONTOUR_GRIDS[0], "low")
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_mass_low_band_trace_is_two_contour_integrals(N, monkeypatch):
+    # a 200-time trace makes the contour's two vector integrals plus the
+    # real-axis check of three samples: a return to per-time work fails here
+    calls = _spy_integrate(monkeypatch)
+    checked = []
+    real = xp._profile_error_value
+
+    def spy(*args, **kwargs):
+        before = len(calls)
+        value = real(*args, **kwargs)
+        checked.append(len(calls) - before)
+        return value
+
+    monkeypatch.setattr(xp, "_profile_error_value", spy)
+    g = make_profile("gaussian", N=N, a=1.0)
+    xp.profile_error_trace(g, N, _CONTOUR_GRIDS[1], "low")
+    assert len(checked) <= 3
+    assert len(calls) - sum(checked) <= 2
 
 
 def test_zero_mass_profile_run_is_five_integrals(monkeypatch):

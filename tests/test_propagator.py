@@ -214,6 +214,35 @@ def test_closed_form_is_finite_where_the_oracle_is():
     assert big.u_hat == 2.0 ** 600 * unit.u_hat and big.v_hat == 2.0 ** 600 * unit.v_hat
 
 
+@pytest.mark.parametrize("mode", ["ode", "paper"])
+def test_closed_form_defect_is_finite_where_the_state_is(mode):
+    # unscaled, nu b_v - L a_v / 2 overflows at u0 = 1e308, r = 10 (two
+    # RuntimeWarnings, errors under pytest) and the defect is nan; the data
+    # are scaled by the same power of two as in propagate_closed
+    defect = prop.closed_form_defect(1e308, 0.0, 10.0, 1.0, mode)
+    st = prop.propagate_closed(1e308, 0.0, 10.0, 1.0, mode)
+    assert np.isfinite(defect)
+    if mode == "ode":
+        assert abs(defect) <= 1e-14 * max(abs(st.u_hat), abs(st.v_hat))
+    else:
+        assert abs(defect - (3.0 * PI * PI / 16.0) * st.u_hat) <= 1e-14 * abs(st.u_hat)
+    # exact: 2^600 times a datum gives 2^600 times its defect, bit for bit
+    big = prop.closed_form_defect(2.0 ** 600 * 0.3, -(2.0 ** 600) * 0.7, 10.0, 1.0, mode)
+    assert big == 2.0 ** 600 * prop.closed_form_defect(0.3, -0.7, 10.0, 1.0, mode)
+
+
+def test_data_below_two_to_the_512_keep_their_bits():
+    # the scaling wraps the closed forms; below 2^512 it is not applied
+    rr = np.linspace(0.0, 10.0, 41)
+    tt = np.linspace(0.0, 20.0, 41).reshape(-1, 1)
+    for u0, u1 in ((1.0 + 0.4j, -0.3 + 0.8j), (2.0 ** 511, -(2.0 ** 510))):
+        args = (u0, u1, rr, tt, "paper")
+        defect = prop.closed_form_defect(*args)
+        assert np.array_equal(defect, prop.closed_form_defect.__wrapped__(*args))
+        st, raw = prop.propagate_closed(*args), prop.propagate_closed.__wrapped__(*args)
+        assert np.array_equal(st.u_hat, raw.u_hat) and np.array_equal(st.v_hat, raw.v_hat)
+
+
 @pytest.mark.parametrize("L", [0.0, math.log(101.0)])
 @pytest.mark.parametrize("landing", [False, True])
 def test_taylor_matrix_matches_expm(L, landing):
