@@ -4,8 +4,9 @@ The catalog is deliberately Gaussian-only so that the radial transform and the
 mass have closed forms (transform convention F f(xi) = int f(x) e^{-i x.xi} dx,
 under which hat(0) equals the mass); the L^{1,1} norm falls back to radial
 quadrature where no closed form exists.  Of a non-radial datum only |hat| is
-kept: paired with a zero datum, every quadratic quantity sees it through |hat|
-alone, and the experiments that need the signed transform refuse it.
+kept, as its transform: paired with a zero datum, every quadratic quantity
+sees it through |hat| alone, and the experiments that need the signed
+transform refuse it.
 
 Profiles are immutable; all evaluation is pure.
 """
@@ -27,13 +28,13 @@ class DataProfile:
     """An initial datum, described entirely on the frequency side.
 
     hat_z is the transform as a function of z = |xi|^2, real for real z and
-    defined for complex z (the contour routes evaluate it off the real axis),
-    and is None for non-radial data; hat_radial is hat_z at r * r.
-    hat_abs_radial gives |hat| as a function of the radius (available for
-    every catalog entry).  l11 = ||u||_{L^{1,1}} =
+    defined for complex z (the contour routes evaluate it off the real axis);
+    hat_radial is hat_z at r * r.  Of a non-radial datum (is_radial False,
+    the shifted_gaussian) hat_z is the modulus |hat|, which only a quadratic
+    functional paired with a zero datum may read.  l11 = ||u||_{L^{1,1}} =
     int (1 + |x|) |u| is None for non-radial data: its one reader, the profile
-    experiment, refuses them.  envelope = (A, alpha) certifies |hat(xi)| <= A exp(-alpha |xi|^2)
-    for tail cutoffs.
+    experiment, refuses them.  envelope = (A, alpha) certifies
+    |hat(xi)| <= A exp(-alpha |xi|^2) for tail cutoffs.
     """
 
     kind: str
@@ -41,18 +42,17 @@ class DataProfile:
     params: tuple
     P1: float
     l11: float | None
-    hat_z: Callable | None = field(repr=False)
-    hat_abs_radial: Callable = field(repr=False)
+    hat_z: Callable = field(repr=False)
     envelope: tuple[float, float] = (0.0, 1.0)
 
     @property
-    def hat_radial(self) -> Callable | None:
-        """The transform as a function of the radius, or None for non-radial data."""
-        return None if self.hat_z is None else _at_radius(self.hat_z)
+    def hat_radial(self) -> Callable:
+        """The transform (|hat| for non-radial data) as a function of the radius."""
+        return _at_radius(self.hat_z)
 
     @property
     def is_radial(self) -> bool:
-        return self.hat_z is not None
+        return self.kind != "shifted_gaussian"
 
     @property
     def is_zero(self) -> bool:
@@ -117,8 +117,7 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
             raise ValueError(f"unknown zero parameters: {sorted(params)}")
         return DataProfile(
             kind="zero", N=N, params=(), P1=0.0, l11=0.0,
-            hat_z=np.zeros_like, hat_abs_radial=_at_radius(np.zeros_like),
-            envelope=(0.0, 1.0),
+            hat_z=np.zeros_like, envelope=(0.0, 1.0),
         )
 
     if kind == "gaussian":
@@ -128,13 +127,12 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
         if a <= 0:
             raise ValueError("gaussian width a must be positive")
         amp = (math.pi / a) ** (N / 2.0)
-        hat_z = _gaussian_z(amp, a)
         l11 = amp + quadrature.surface_area(N) * math.exp(
             math.lgamma(0.5 * (N + 1))
         ) / (2.0 * a ** (0.5 * (N + 1)))
         return DataProfile(
             kind="gaussian", N=N, params=(("a", a),), P1=amp, l11=l11,
-            hat_z=hat_z, hat_abs_radial=_at_radius(hat_z), envelope=(amp, 1.0 / (4.0 * a)),
+            hat_z=_gaussian_z(amp, a), envelope=(amp, 1.0 / (4.0 * a)),
         )
 
     if kind == "zero_mean_pair":
@@ -146,8 +144,6 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
             # e^{-z/4} - e^{-z/8} without the cancellation at small z
             return amp * np.exp(-z / 8.0) * np.expm1(-z / 8.0)
 
-        hat_r = _at_radius(hat_z)
-
         def u_abs(r):
             r = np.asarray(r, dtype=float)
             return np.abs(np.exp(-r * r) - 2.0 ** (N / 2.0) * np.exp(-2.0 * r * r))
@@ -156,8 +152,7 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
         l1, first_moment = _weighted_radial_norm(u_abs, N, 14.0, breakpoints=[r_star])
         return DataProfile(
             kind="zero_mean_pair", N=N, params=(), P1=0.0, l11=l1 + first_moment,
-            hat_z=hat_z, hat_abs_radial=lambda r: np.abs(hat_r(r)),
-            envelope=(amp, 1.0 / 8.0),
+            hat_z=hat_z, envelope=(amp, 1.0 / 8.0),
         )
 
     if kind == "shifted_gaussian":
@@ -171,8 +166,7 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
         # the modulus is the a = 1 Gaussian's transform
         return DataProfile(
             kind="shifted_gaussian", N=N, params=(("offset", c),), P1=amp, l11=None,
-            hat_z=None, hat_abs_radial=_at_radius(_gaussian_z(amp, 1.0)),
-            envelope=(amp, 0.25),
+            hat_z=_gaussian_z(amp, 1.0), envelope=(amp, 0.25),
         )
 
     raise ValueError(f"unknown profile kind {kind!r}")

@@ -118,17 +118,21 @@ def _trace_norm(N: int) -> float:
     return (2.0 * math.pi) ** (-N) * quadrature.surface_area(N)
 
 
-def carrier_peak_times(lo: float, hi: float, count: int, mode) -> np.ndarray:
+def carrier_peak_times(lo: float, hi: float, count: int, mode,
+                       theta: float = 0.0) -> np.ndarray:
     """Log-spaced times snapped to maxima of the r-independent carrier.
 
-    The closed form factors as envelope(r, t) * sin(nu t) with nu fixed
-    across frequencies, so the squared norm vanishes on a periodic time set;
-    sampling at the carrier peaks (|sin(nu t)| = 1) measures the envelope,
-    which is what a decay exponent describes.
+    The closed form factors as envelope(r, t) * sin(nu t + theta) at low
+    frequency, with nu fixed across frequencies, so the squared norm vanishes
+    on a periodic time set; sampling at the carrier peaks (|sin(nu t + theta)|
+    = 1) measures the envelope, which is what a decay exponent describes.
+    For data of masses P0 (displacement) and P1 (velocity) the leading term
+    is P0 cos(nu t) + (P1/nu) sin(nu t), so theta = atan2(P0, P1/nu); theta 0
+    gives the peaks of |sin(nu t)|.
     """
     nu = carrier_frequency(mode)
     period = math.pi / nu  # sin^2 period
-    offset = 0.5 * period  # first maximum of |sin|
+    offset = (0.5 * period - theta / nu) % period  # first maximum of |sin(nu t + theta)|
     raw = np.geomspace(max(lo, offset), hi, count)
     snapped = offset + period * np.round((raw - offset) / period)
     snapped = snapped[(snapped >= lo) & (snapped <= hi)]
@@ -136,20 +140,16 @@ def carrier_peak_times(lo: float, hi: float, count: int, mode) -> np.ndarray:
 
 
 def _radial_hat_pair(p0: DataProfile, p1: DataProfile):
-    """Real radial reductions (h0, h1) valid for quadratic functionals.
+    """Real radial transforms (h0, h1) valid for quadratic functionals.
 
-    Both profiles radial: use the signed transforms.  Exactly one nonzero and
-    non-radial: its modulus suffices because the closed-form coefficients are
-    real, so only |hat|^2 enters.  Two nonzero non-radial data would need the
+    A non-radial datum's hat_radial is its modulus, which suffices when the
+    other datum is zero: the closed-form coefficients are real, so only
+    |hat|^2 enters.  Two nonzero data, one of them non-radial, would need the
     joint phase and are rejected.
     """
-    if (p0.is_zero or p0.is_radial) and (p1.is_zero or p1.is_radial):
-        return p0.hat_radial, p1.hat_radial
-    if p0.is_zero:
-        return p0.hat_radial, p1.hat_abs_radial
-    if p1.is_zero:
-        return p0.hat_abs_radial, p1.hat_radial
-    raise ValueError("need radial data (or a single non-radial datum with the other zero)")
+    if not (p0.is_radial and p1.is_radial or p0.is_zero or p1.is_zero):
+        raise ValueError("need radial data (or a single non-radial datum with the other zero)")
+    return p0.hat_radial, p1.hat_radial
 
 
 def _envelope_cut(p0: DataProfile, p1: DataProfile) -> float:
@@ -296,7 +296,7 @@ def energy_identity_residual(profile_u0, profile_u1, N, t,
 def _low_band_log_estimate(P1, N, t, s4) -> float:
     """log of the leading term (8/pi^2) P1^2 (s4^2 + 1/2) Gamma(N/2) t^{-N/2} of
     the low band of a mass datum before _trace_norm(N), s4 = sin(pi t/4): the
-    estimate that sizes its real-axis cut and its contour's certificate.
+    scale against which :func:`_low_band_contour_mask` certifies the contour.
     Broadcasts over t and s4."""
     return (np.log((8.0 / PI_SQ) * (s4 * s4 + 0.5)) + 2.0 * math.log(abs(P1))
             + math.lgamma(N / 2.0) - (N / 2.0) * np.log(t))
@@ -306,13 +306,9 @@ def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
     """(2 pi)^{-N} omega_N * int_lo^hi (16/pi^2) e^{-Lt} (sin(pi t/4) hat -
     P1 sin(t sqrt L))^2 r^{N-1} dr at one time t, with hi=None for infinity.
 
-    Panels are seeded at half periods of the mass term's phase plus 8
-    geometric points.  A band from 0 of a mass datum (P1^2 > 0) at t > N/2 + 1
-    is cut by quadrature._tail_cut: its integrand is at most (16/pi^2)(A +
-    |P1|)^2 (1+r^2)^{-t} r^{N-1}, A the envelope amplitude, and its first cut
-    is sized by the leading term (8/pi^2) P1^2 (sin^2(pi t/4) + 1/2)
-    Gamma(N/2) t^{-N/2}, with phase seeds up to the cut.  Other bands keep
-    phase seeds up to log(1 + r^2) = (log(1/rel_tol) + 40)/t.
+    Panels are seeded at half periods of the mass term's phase up to
+    log(1 + r^2) = (log(1/rel_tol) + 40)/t, where e^{-Lt} has fallen below
+    e^{-40} rel_tol, plus 8 geometric points up to hi.
     """
     P1 = profile.P1
     hat = profile.hat_radial
@@ -323,26 +319,6 @@ def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
         L = np.log1p(r * r)
         diff = s4 * hat(r) - P1 * np.sin(t * np.sqrt(L))
         return (16.0 / PI_SQ) * np.exp(-L * t) * diff * diff * np.power(r, N - 1)
-
-    def band(b, r_osc_hi):
-        seeds = np.concatenate([
-            quadrature.phase_radii(t, lo, r_osc_hi),
-            quadrature.geom_points(max(lo, b * 1e-6), b, 8) if b > lo else np.empty(0),
-        ])
-        return quadrature.integrate(integrand, lo, b, tol=1e-300, rel_tol=rel_tol,
-                                    breakpoints=seeds).value
-
-    # P1^2 > 0 keeps the bound's factor off zero, where its log fails
-    if hi is not None and lo == 0.0 and P1 * P1 > 0.0 and t > N / 2.0 + 1.0:
-        def head(y, r_cut):
-            r_cut = min(r_cut, hi)
-            return band(r_cut, r_cut)
-
-        factor = (16.0 / PI_SQ) * (profile.envelope[0] + abs(P1)) ** 2
-        log_scale = _low_band_log_estimate(P1, N, t, s4)
-        value = quadrature._tail_cut(f"profile error (N={N})", N, t, rel_tol, head,
-                                     log_scale, factor=factor)
-        return _trace_norm(N) * value
 
     if hi is None:
         # cut where both the datum envelope and the mass term are certifiably
@@ -363,7 +339,10 @@ def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
 
     X = math.log(1.0 / rel_tol) + 40.0
     r_osc_hi = min(hi, quadrature.log_radius(min(X / max(t, 1e-9), 400.0)))
-    return _trace_norm(N) * band(hi, r_osc_hi)
+    seeds = np.concatenate([quadrature.phase_radii(t, lo, r_osc_hi),
+                            quadrature.geom_points(max(lo, hi * 1e-6), hi, 8)])
+    return _trace_norm(N) * quadrature.integrate(integrand, lo, hi, tol=1e-300,
+                                                 rel_tol=rel_tol, breakpoints=seeds).value
 
 
 # the low band's end, r = 1, in y = sqrt(log(1 + r^2))
@@ -812,7 +791,8 @@ def run_decay(p0, p1, N, mode, tgrid, rel_tol=1e-9) -> ExperimentReport:
             f"total-energy decay exponent <= -{N / 2:.2f} + 0.10",
             e_fit.rate <= -N / 2.0 + 0.10, -N / 2.0 + 0.10 - e_fit.rate))
 
-    peak_times = carrier_peak_times(tgrid.lo, tgrid.hi, tgrid.count, mode)
+    theta = math.atan2(p0.P1, p1.P1 / carrier_frequency(mode))
+    peak_times = carrier_peak_times(tgrid.lo, tgrid.hi, tgrid.count, mode, theta)
     l_tr = l2_trace(p0, p1, N, peak_times, mode, rel_tol)
     rep.traces.append(l_tr)
     l_fit = fit_rate(l_tr, "power")

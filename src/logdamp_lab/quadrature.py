@@ -396,7 +396,8 @@ def _comparison_log_scale(N: int, t: float) -> float:
 
 def _tail_cut(name: str, N: float, t: float, rel_tol: float, head: Callable,
               log_scale: float, r_lo: float = 0.0, factor: float = 1.0) -> float:
-    """An integral from r_lo to infinity: the one cut loop of this module.
+    """An integral from r_lo to infinity: the one cut loop of the lab, serving
+    :func:`integral_Jp`, :func:`substitution_oracle` and :func:`_leg_two`.
 
     head(y, R) integrates from r_lo to R = log_radius(y^2) to relative
     rel_tol (leg 2 of the contour route cuts at x = y and ignores R); the
@@ -491,15 +492,16 @@ def _leg_one(N: int, times: np.ndarray) -> np.ndarray:
 
     On y = is, G(is) i = i^N s e^{-s^2} (1 - e^{-s^2})^beta and the exponent
     is -ts(2-s), so the value is -(-1)^beta times the integral of a positive
-    integrand over s in [0, 1] that does not oscillate.  One vector integral
-    over all times, on geometric seeds down past the peak s ~ (N-1)/(2t),
-    each time held to _CMP_TOL relative.
+    integrand over s in [0, 1] that does not oscillate; the log of its
+    positive factor is the real part of :func:`_log_g` at is.  One vector
+    integral over all times, on geometric seeds down past the peak
+    s ~ (N-1)/(2t), each time held to _CMP_TOL relative.
     """
     beta = 0.5 * (N - 2)
 
     def f(s):
         # one exp per (node, time), so that no factor underflows on its own
-        log_g = np.log(s) - s * s + beta * np.log(-np.expm1(-s * s))
+        log_g = _log_g(N, 1j * s).real
         return np.exp(log_g[:, None] - np.outer(s * (2.0 - s), times))
 
     res = integrate(f, 0.0, 1.0, tol=1e-300, rel_tol=_CMP_TOL,
@@ -581,21 +583,21 @@ def substitution_oracle(N: int, t: float) -> float:
 
     Change of variables y = sqrt(log(1+r^2)) maps the integral to
     omega_N * int_0^inf y e^{(1-t)y^2} (e^{y^2}-1)^{(N-2)/2} sin^2(t y) dy,
-    cut at the same y by :func:`_tail_cut`.  Raises ValueError when the value
-    underflows a float.
+    cut at the same y by :func:`_tail_cut`.  The two exponential factors are
+    folded into one exp, since at large N the power overflows where the
+    Gaussian underflows; G is written out here, not taken from
+    :func:`_log_g`, so that the check shares no code with the contour.
+    Raises ValueError when the value underflows a float.
     """
     if N < 3:
         raise ValueError("requires N >= 3")
     if t - N / 2.0 <= 1.0:
         raise ValueError(f"requires t > N/2 + 1 (got t={t})")
+    beta = 0.5 * (N - 2)
 
     def g(y):
-        return (
-            y
-            * np.exp((1.0 - t) * y * y)
-            * np.power(np.expm1(y * y), 0.5 * (N - 2))
-            * np.sin(t * y) ** 2
-        )
+        z = y * y
+        return y * np.exp((1.0 - t) * z + beta * np.log(np.expm1(z))) * np.sin(t * y) ** 2
 
     def head(y_cut, r_hi):
         return integrate(g, 0.0, y_cut, tol=1e-300, rel_tol=_CMP_TOL,

@@ -264,6 +264,16 @@ def test_decay_command_passes_and_writes_artifacts(tmp_path):
     assert "loglog" in script
 
 
+def test_two_nonzero_data_one_non_radial_is_config_error(tmp_path):
+    out = tmp_path / "out"
+    res = _invoke(["decay", "--u0", "gaussian:a=1", "--u1", "shifted_gaussian:offset=0.5",
+                   "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.output.startswith("config error: ")
+    assert "need radial data" in res.output
+    assert not out.exists()
+
+
 def test_check_failure_exit_code(tmp_path):
     # the low-band exponent check measures a steeper decay than the stated
     # window, so the profile command reports the failure via exit status 2

@@ -73,7 +73,7 @@ def test_hat_radial_keeps_its_bits_as_the_transform_in_z():
         amp = PI ** (N / 2.0)
         pair = cat.make_profile("zero_mean_pair", N=N).hat_radial(r)
         assert np.array_equal(pair, amp * np.exp(-r * r / 8.0) * np.expm1(-r * r / 8.0))
-        shifted = cat.make_profile("shifted_gaussian", N=N, offset=0.5).hat_abs_radial(r)
+        shifted = cat.make_profile("shifted_gaussian", N=N, offset=0.5).hat_radial(r)
         assert np.array_equal(shifted, amp * np.exp(-r ** 2 / 4.0))
 
 
@@ -98,10 +98,10 @@ def test_transform_in_z_matches_mpmath_off_the_real_axis():
 
 def test_shifted_gaussian_fields():
     p = cat.make_profile("shifted_gaussian", N=3, offset=0.8)
-    assert p.hat_radial is None and not p.is_radial and p.l11 is None
+    assert not p.is_radial and p.l11 is None
     assert abs(p.P1 - PI ** 1.5) < 1e-12
     # |hat| is radial even though hat is not, and does not see the offset
-    assert abs(p.hat_abs_radial(1.0) - PI ** 1.5 * math.exp(-0.25)) < 1e-12
+    assert abs(p.hat_radial(1.0) - PI ** 1.5 * math.exp(-0.25)) < 1e-12
 
 
 def test_zero_profile():

@@ -60,6 +60,36 @@ def test_carrier_peak_times():
     assert np.allclose(np.abs(np.sin(PI * tp / 4.0)), 1.0)
 
 
+def test_carrier_peak_times_follow_the_phase_of_the_data():
+    # theta = atan2(P0, P1/nu) puts the samples on the peaks of |sin(nu t + theta)|
+    for mode in PropagatorMode:
+        nu = carrier_frequency(mode)
+        for theta in (0.3, math.pi / 2.0, -1.0, math.pi):
+            ts = xp.carrier_peak_times(100.0, 10_000.0, 40, mode, theta)
+            assert np.all(np.diff(ts) > 0) and ts[0] >= 100.0 and ts[-1] <= 10_000.0
+            assert np.allclose(np.abs(np.sin(nu * ts + theta)), 1.0)
+
+
+@pytest.mark.parametrize("mode", list(PropagatorMode))
+@pytest.mark.parametrize("u1", ["zero", "gaussian"])
+def test_decay_with_a_displacement_datum_samples_the_envelope(mode, u1):
+    p0, p1 = make_profile("gaussian", N=3), make_profile(u1, N=3)
+    rep = xp.run_decay(p0, p1, 3, mode, xp.TimeGrid(100.0, 10_000.0, 40))
+    assert abs(rep.parameters["l2_squared_rate"] + 1.5) <= 0.01
+    assert rep.all_passed
+
+
+def test_two_nonzero_data_one_non_radial_are_refused():
+    shifted, g = make_profile("shifted_gaussian", N=3), make_profile("gaussian", N=3)
+    for p0, p1 in ((g, shifted), (shifted, g), (shifted, shifted)):
+        with pytest.raises(ValueError, match="need radial data"):
+            xp._radial_hat_pair(p0, p1)
+    zero = make_profile("zero", N=3)
+    h0, h1 = xp._radial_hat_pair(zero, shifted)
+    r = np.linspace(0.0, 5.0, 11)
+    assert np.array_equal(h1(r), g.hat_radial(r)) and not np.any(h0(r))
+
+
 def test_energy_value_plancherel_anchor(zero, gaussian):
     # at t = 0 the energy functional reduces to ||u1||_2^2 = (pi/2)^{3/2}
     val = xp.energy_value(zero, gaussian, 3, 0.0, PropagatorMode.ODE)
@@ -449,9 +479,11 @@ _CUT_TIMES = [100.0, 316.0, 1000.0, 3162.0, 10_000.0, 6.0, 14.0, 26.0, 46.0]
 
 @pytest.mark.parametrize("N", [3, 4, 5])
 def test_mass_low_band_cut_matches_the_uncut_band(N):
+    # the phase seeds end where e^{-Lt} has fallen below e^{-40} rel_tol; up
+    # to t = N/2 + 1 they cover the whole band
     for a in (0.5, 1.0, 2.0):
         g = make_profile("gaussian", N=N, a=a)
-        for t in _CUT_TIMES:
+        for t in _CUT_TIMES + [0.5, N / 2.0, N / 2.0 + 1.0]:
             ref = _uncut_low_band(g, N, t)
             got = xp._profile_error_value(g, N, t, 0.0, 1.0)
             assert abs(got - ref) <= 1e-10 * ref, (a, t)
@@ -471,8 +503,7 @@ def _spy_integrate(monkeypatch):
 
 @pytest.mark.parametrize("count", [40, 200])  # the CLI default and bench grids
 def test_mass_low_band_takes_one_integral_per_sample(count, monkeypatch):
-    # the leading-term estimate places the first cut where it certifies, so
-    # no sample pays for a second pass
+    # the real axis takes the band in one pass, with no cut to grow
     calls = _spy_integrate(monkeypatch)
     times = xp.TimeGrid(100.0, 10_000.0, count).times()
     for N in (3, 5):
@@ -482,47 +513,6 @@ def test_mass_low_band_takes_one_integral_per_sample(count, monkeypatch):
             for t in times:
                 xp._profile_error_value(g, N, float(t), 0.0, 1.0)
             assert len(calls) == count
-            # cut short of the whole band: the cut, not the band, ends the range
-            assert all(0.0 < b < 1.0 for _, b in calls)
-
-
-def test_mass_low_band_estimate_sets_the_work_not_the_certificate(monkeypatch):
-    # a first cut sized by an estimate e^20 too high is too short: the cut
-    # grows until the bound certifies it, at the cost of passes
-    real = xp.quadrature._tail_cut
-
-    def too_high(name, N, t, rel_tol, head, log_scale, **kwargs):
-        return real(name, N, t, rel_tol, head, log_scale + 20.0, **kwargs)
-
-    g = make_profile("gaussian", N=3, a=1.0)
-    refs = {t: _uncut_low_band(g, 3, t) for t in (100.0, 10_000.0)}
-    calls = _spy_integrate(monkeypatch)
-    monkeypatch.setattr(xp.quadrature, "_tail_cut", too_high)
-    for t, ref in refs.items():
-        del calls[:]
-        got = xp._profile_error_value(g, 3, t, 0.0, 1.0)
-        assert len(calls) > 1
-        assert abs(got - ref) <= 1e-10 * ref
-
-
-@pytest.mark.parametrize("N", [3, 5])
-def test_mass_low_band_integrates_the_whole_band_up_to_n_half_plus_one(N, monkeypatch):
-    # the tail bound needs t > N/2; up to t = N/2 + 1 the band is not cut
-    real = xp.quadrature._tail_cut
-    cut = []
-
-    def spy(*args, **kwargs):
-        cut.append(args[2])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(xp.quadrature, "_tail_cut", spy)
-    g = make_profile("gaussian", N=N, a=1.0)
-    for t in (0.5, N / 2.0, N / 2.0 + 1.0):
-        got = xp._profile_error_value(g, N, t, 0.0, 1.0)
-        assert abs(got - _uncut_low_band(g, N, t)) <= 1e-10 * got
-    assert cut == []
-    xp._profile_error_value(g, N, N / 2.0 + 1.5, 0.0, 1.0)
-    assert cut == [N / 2.0 + 1.5]
 
 
 _CONTOUR_GRIDS = (xp.TimeGrid(100.0, 10_000.0, 40).times(),

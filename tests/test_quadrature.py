@@ -564,6 +564,16 @@ def test_contour_route_at_large_n(t, rel):
     assert abs(q.optimality_integral(N, t) - ref) <= rel * ref
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t", [101.5, 103.0, 104.0])
+def test_oracle_at_large_n_just_above_the_threshold(t):
+    # at N = 200, (e^{y^2} - 1)^99 overflows where e^{(1-t) y^2} underflows;
+    # in one exp the oracle certifies where the contour does
+    N = 200
+    oracle, contour = q.substitution_oracle(N, t), q.optimality_integral(N, t)
+    assert abs(oracle - contour) <= 1e-12 * contour
+
+
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 @pytest.mark.parametrize("t", [1e10, 1e12])
 def test_contour_route_past_the_oracle_wall(N, t):
