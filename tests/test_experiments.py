@@ -479,11 +479,10 @@ _CUT_TIMES = [100.0, 316.0, 1000.0, 3162.0, 10_000.0, 6.0, 14.0, 26.0, 46.0]
 
 @pytest.mark.parametrize("N", [3, 4, 5])
 def test_mass_low_band_cut_matches_the_uncut_band(N):
-    # the phase seeds end where e^{-Lt} has fallen below e^{-40} rel_tol; up
-    # to t = N/2 + 1 they cover the whole band
+    # the phase seeds end where e^{-Lt} has fallen below e^{-40} rel_tol
     for a in (0.5, 1.0, 2.0):
         g = make_profile("gaussian", N=N, a=a)
-        for t in _CUT_TIMES + [0.5, N / 2.0, N / 2.0 + 1.0]:
+        for t in _CUT_TIMES:
             ref = _uncut_low_band(g, N, t)
             got = xp._profile_error_value(g, N, t, 0.0, 1.0)
             assert abs(got - ref) <= 1e-10 * ref, (a, t)
@@ -513,6 +512,20 @@ def test_mass_low_band_takes_one_integral_per_sample(count, monkeypatch):
             for t in times:
                 xp._profile_error_value(g, N, float(t), 0.0, 1.0)
             assert len(calls) == count
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_mass_low_band_integrates_the_whole_band_up_to_n_half_plus_one(N, monkeypatch):
+    # at t <= N/2 + 1, where no tail bound holds, as at every other t, the
+    # band is one integral over all of [0, 1]
+    g = make_profile("gaussian", N=N, a=1.0)
+    refs = {t: _uncut_low_band(g, N, t) for t in (0.5, N / 2.0, N / 2.0 + 1.0)}
+    calls = _spy_integrate(monkeypatch)
+    for t, ref in refs.items():
+        del calls[:]
+        got = xp._profile_error_value(g, N, t, 0.0, 1.0)
+        assert abs(got - ref) <= 1e-10 * got
+        assert calls == [(0.0, 1.0)]
 
 
 _CONTOUR_GRIDS = (xp.TimeGrid(100.0, 10_000.0, 40).times(),
