@@ -41,6 +41,12 @@ def test_bad_mode_and_bad_profile(tmp_path):
     # grid point past it, refused before any quadrature runs
     (200, "normalized comparison integral at N=200, t=1266.38: t^(N/2) overflows a float",
      "optimality --t-lo 1e3 --t-hi 1e4"),
+    # the low band's mass term is the comparison integral, refused by name
+    # where it underflows; so is a failed real-axis check whose sample does
+    (200, "comparison integral at N=200, t=3888.16 underflows a float "
+          "(1.02e-309 < 2.23e-308)", "profile"),
+    (200, "low-band profile error at N=200, t=2000 underflows a float (0 < 2.23e-308)",
+     "profile --t-hi 2000"),
 ])
 def test_large_n_refusal_names_its_cause(tmp_path, n, cause, command):
     out = tmp_path / "out"
@@ -207,6 +213,21 @@ def test_profile_runs_at_n_of_ten_and_above(tmp_path, n):
     report = json.loads((tmp_path / "profile" / "report.json").read_text())
     failed = [c["description"] for c in report["checks"] if not c["passed"]]
     assert failed == ["low-band error exponent within [-0.6, -0.4]"]
+
+
+@pytest.mark.parametrize("n", [118, 120, 150])
+@pytest.mark.parametrize("u1, failed", [
+    ("gaussian:a=1", ["low-band error exponent within [-0.6, -0.4]"]),
+    ("zero_mean_pair", []),
+])
+def test_profile_high_band_window_moves_with_n(tmp_path, n, u1, failed):
+    # the high band's window starts at N/2 + 1.5 and ends by whole carrier
+    # periods past t = 60, as the additivity times do; a fixed end 60 fell
+    # below the start from N = 118 on
+    res = _invoke(["profile", "--n", str(n), "--u1", u1, "--out", str(tmp_path)])
+    assert res.exit_code == (2 if failed else 0), res.output
+    report = json.loads((tmp_path / "profile" / "report.json").read_text())
+    assert [c["description"] for c in report["checks"] if not c["passed"]] == failed
 
 
 def test_zero_mass_profile_runs_to_ten_billion(tmp_path):

@@ -79,6 +79,18 @@ def test_decay_with_a_displacement_datum_samples_the_envelope(mode, u1):
     assert rep.all_passed
 
 
+@pytest.mark.parametrize("mode", list(PropagatorMode))
+def test_decay_with_a_zero_mass_displacement_samples_the_envelope(mode):
+    # with both masses zero the carrier's phase comes from the r^2 terms:
+    # u0 = zero_mean_pair leads with cos(nu t), so its samples sit on the peaks
+    # of |cos|, not on its zeros, and read the exponent of the swapped pair
+    pair, zero = make_profile("zero_mean_pair", N=3), make_profile("zero", N=3)
+    grid = xp.TimeGrid(100.0, 10_000.0, 40)
+    rates = [xp.run_decay(p0, p1, 3, mode, grid).parameters["l2_squared_rate"]
+             for p0, p1 in ((pair, zero), (zero, pair))]
+    assert abs(rates[0] - rates[1]) <= 0.1, rates
+
+
 def test_two_nonzero_data_one_non_radial_are_refused():
     shifted, g = make_profile("shifted_gaussian", N=3), make_profile("gaussian", N=3)
     for p0, p1 in ((g, shifted), (shifted, g), (shifted, shifted)):
@@ -558,34 +570,48 @@ def test_mass_low_band_contour_samples_equal_their_one_time_calls(N):
         assert np.array_equal(trace, one)
 
 
-def _third_leg(profile, N, t, w):
-    """|T_w|, the leg of C_w = int_0^Y e^{-ty^2 + iwty} F_w dy that the contour
-    drops: y = Y + i sigma, sigma in [0, w/2], F_2 = G and F_1 = HG."""
+def _third_leg(profile, N, t):
+    """|T_1|, the leg of C_1 = int_0^Y e^{-ty^2 + ity} HG dy that the contour
+    drops: y = Y + i sigma, sigma in [0, 1/2]."""
     Y = xp._Y_LOW
 
     def f(sigma):
         y = Y + 1j * sigma
-        F = np.exp(xp.quadrature._log_g(N, y))
-        if w == 1.0:
-            F = F * profile.hat_z(np.expm1(y * y))
-        v = 1j * F * np.exp(-t * y * y + 1j * w * t * y)
+        F = np.exp(xp.quadrature._log_g(N, y)) * profile.hat_z(np.expm1(y * y))
+        v = 1j * F * np.exp(-t * y * y + 1j * t * y)
         return np.stack([v.real, v.imag], axis=1)
 
-    res = integrate(f, 0.0, 0.5 * w, tol=1e-300, rel_tol=1e-10,
-                    breakpoints=np.linspace(0.0, 0.5 * w, 65))
+    res = integrate(f, 0.0, 0.5, tol=1e-300, rel_tol=1e-10,
+                    breakpoints=np.linspace(0.0, 0.5, 65))
     return math.hypot(*res.value)
+
+
+def _comparison_beyond_one(N, t):
+    """The comparison integral over r >= 1 over omega_N, int_Y^inf e^{-ty^2}
+    sin^2(ty) G dy, on the real axis to 1e-10, cut at e^{-(t-N/2) y^2} = 1e-40."""
+    beta = 0.5 * (N - 2)
+    y_hi = math.sqrt(40.0 * math.log(10.0) / (t - N / 2.0))
+
+    def f(y):
+        z = y * y
+        return y * np.exp((1.0 - t) * z + beta * np.log(np.expm1(z))) * np.sin(t * y) ** 2
+
+    seeds = xp.quadrature._phase_points(t, xp._Y_LOW, y_hi)
+    return integrate(f, xp._Y_LOW, y_hi, tol=1e-300, rel_tol=1e-10,
+                     breakpoints=seeds).value
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_third_leg_bound_holds(N):
-    # (16/pi^2) ((P1^2/2) |T_2| + 2 |s4 P1| |T_1|) against its closed-form
-    # bound, from just above N/2 + 1 past the times where the contour starts
+    # (16/pi^2) (P1^2 K + 2 |s4 P1| |T_1|), K the comparison integral over
+    # r >= 1, against its closed-form bound, from just above N/2 + 1 past the
+    # times where the contour starts
     for a in (0.5, 1.0, 2.0):
         g = make_profile("gaussian", N=N, a=a)
         for t in np.linspace(N / 2.0 + 1.01, 60.0, 23):
             s4 = math.sin(PI * t / 4.0)
-            dropped = (16.0 / PI_SQ) * (0.5 * g.P1 ** 2 * _third_leg(g, N, t, 2.0)
-                                        + 2.0 * abs(s4 * g.P1) * _third_leg(g, N, t, 1.0))
+            dropped = (16.0 / PI_SQ) * (g.P1 ** 2 * _comparison_beyond_one(N, t)
+                                        + 2.0 * abs(s4 * g.P1) * _third_leg(g, N, t))
             assert dropped <= math.exp(xp._third_legs_log_bound(g, N, t, s4)), (a, t)
 
 
@@ -600,10 +626,11 @@ def test_contour_check_refuses_a_perturbed_value(monkeypatch):
         xp.profile_error_trace(g, 3, _CONTOUR_GRIDS[0], "low")
 
 
-@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_mass_low_band_trace_is_two_contour_integrals(N, monkeypatch):
-    # a 200-time trace makes the contour's two vector integrals plus the
-    # real-axis check of three samples: a return to per-time work fails here
+    # a 200-time trace makes two vector integrals (the contour's flat leg, and
+    # its rise for odd N or the comparison integral's leg 1 for even N) plus
+    # the real-axis check of three samples: a return to per-time work fails here
     calls = _spy_integrate(monkeypatch)
     checked = []
     real = xp._profile_error_value
@@ -619,6 +646,30 @@ def test_mass_low_band_trace_is_two_contour_integrals(N, monkeypatch):
     xp.profile_error_trace(g, N, _CONTOUR_GRIDS[1], "low")
     assert len(checked) <= 3
     assert len(calls) - sum(checked) <= 2
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_mass_low_band_takes_its_mass_term_from_the_comparison_integral(N, monkeypatch):
+    # the P1^2 term is one optimality_integral call for the whole trace, and
+    # the contour itself evaluates nothing on Im y = 1
+    calls, heights = [], []
+    real_opt, real_log_g = xp.quadrature.optimality_integral, xp.quadrature._log_g
+
+    def opt(n, times):
+        calls.append(np.array(times))
+        return real_opt(n, times)
+
+    def log_g(n, y):
+        heights.append(y.imag)
+        return real_log_g(n, y)
+
+    monkeypatch.setattr(xp.quadrature, "optimality_integral", opt)
+    monkeypatch.setattr(xp.quadrature, "_log_g", log_g)
+    g = make_profile("gaussian", N=N, a=1.0)
+    times = _CONTOUR_GRIDS[1]
+    xp._low_band_contour(g, N, times)
+    assert len(calls) == 1 and np.array_equal(calls[0], times)
+    assert heights and not any(np.any(h == 1.0) for h in heights)
 
 
 def test_zero_mass_profile_run_is_five_integrals(monkeypatch):
@@ -697,3 +748,14 @@ def test_optimality_trace_majorant_needs_no_quadrature(monkeypatch):
     _, _, checks, _ = xp.optimality_trace(3, [100.0, 300.0, 1000.0])
     majorant = [c for c in checks if c.description.startswith("sin^2 <= 1 majorant")]
     assert len(majorant) == 1 and majorant[0].passed
+
+
+@pytest.mark.parametrize("N", [20, 50, 100])
+def test_gaussian_moment_checks_are_relative_at_large_n(N):
+    # A_N = Gamma(N/2)/2 is 1.8e5 at N = 20 and 3e62 at N = 100, where rounding
+    # alone misses an absolute 1e-10 or 5e-3; both bounds turn relative at
+    # f_osc's rel_tol 1e-13 and keep their descriptions
+    rep = xp.run_optimality(N, xp.TimeGrid(100.0, 10_000.0, 40))
+    passed = {c.description: c.passed for c in rep.checks}
+    assert passed["A_N by quadrature matches Gamma(N/2)/2 to 1e-10"]
+    assert passed["|F_N(t_hi) - A_N/2| < 5e-3"]
