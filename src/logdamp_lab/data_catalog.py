@@ -27,14 +27,14 @@ from .symbols import log_symbol
 class DataProfile:
     """An initial datum, described entirely on the frequency side.
 
-    hat_z is the transform as a function of z = |xi|^2, real for real z and
-    defined for complex z (the contour routes evaluate it off the real axis);
-    hat_radial is hat_z at r * r.  Of a non-radial datum (is_radial False,
-    the shifted_gaussian) hat_z is the modulus |hat|, which only a quadratic
-    functional paired with a zero datum may read.  l11 = ||u||_{L^{1,1}} =
-    int (1 + |x|) |u| is None for non-radial data: its one reader, the profile
-    experiment, refuses them.  envelope = (A, alpha) certifies
-    |hat(xi)| <= A exp(-alpha |xi|^2) for tail cutoffs.
+    hat_z is the transform as a function of z = |xi|^2 = r^2, real for real z
+    and defined for complex z (the contour routes evaluate it off the real
+    axis).  Of a non-radial datum (is_radial False, the shifted_gaussian) hat_z
+    is the modulus |hat|, which only a quadratic functional paired with a zero
+    datum may read.  l11 = ||u||_{L^{1,1}} = int (1 + |x|) |u| is None for
+    non-radial data: its one reader, the profile experiment, refuses them.
+    envelope = (A, alpha) certifies |hat(xi)| <= A exp(-alpha |xi|^2) for tail
+    cutoffs.
     """
 
     kind: str
@@ -44,11 +44,6 @@ class DataProfile:
     l11: float | None
     hat_z: Callable = field(repr=False)
     envelope: tuple[float, float] = (0.0, 1.0)
-
-    @property
-    def hat_radial(self) -> Callable:
-        """The transform (|hat| for non-radial data) as a function of the radius."""
-        return _at_radius(self.hat_z)
 
     @property
     def is_radial(self) -> bool:
@@ -71,15 +66,6 @@ class ProfileTerms:
     f1: float | np.ndarray
     f2: float | np.ndarray
     f3: float | np.ndarray
-
-
-def _at_radius(hat_z: Callable) -> Callable:
-    """r -> hat_z(r * r): a transform in z = r^2 as a function of the radius."""
-    def hat_r(r):
-        r = np.asarray(r, dtype=float)
-        return hat_z(r * r)
-
-    return hat_r
 
 
 def _gaussian_z(amp: float, a: float) -> Callable:
@@ -208,10 +194,11 @@ def profile_terms(profile: DataProfile, r, t) -> ProfileTerms:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("requires t >= 0")
+    r = np.asarray(r, dtype=float)
     L = log_symbol(r)
     env = np.exp(-0.5 * L * t)
     four_over_pi = 4.0 / math.pi
-    A = profile.hat_radial(r) - profile.P1
+    A = profile.hat_z(r * r) - profile.P1
     carrier = np.sin(math.pi * t / 4.0)
     wave = np.sin(t * np.sqrt(L))
     f1 = four_over_pi * A * env * carrier

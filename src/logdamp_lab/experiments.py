@@ -140,19 +140,6 @@ def carrier_peak_times(lo: float, hi: float, count: int, mode,
     return np.unique(snapped)
 
 
-def _radial_hat_pair(p0: DataProfile, p1: DataProfile):
-    """Real radial transforms (h0, h1) valid for quadratic functionals.
-
-    A non-radial datum's hat_radial is its modulus, which suffices when the
-    other datum is zero: the closed-form coefficients are real, so only
-    |hat|^2 enters.  Two nonzero data, one of them non-radial, would need the
-    joint phase and are rejected.
-    """
-    if not (p0.is_radial and p1.is_radial or p0.is_zero or p1.is_zero):
-        raise ValueError("need radial data (or a single non-radial datum with the other zero)")
-    return p0.hat_radial, p1.hat_radial
-
-
 def _envelope_cut(p0: DataProfile, p1: DataProfile) -> float:
     alphas = [alpha for amp, alpha in (p0.envelope, p1.envelope) if amp > 0]
     if not alphas:
@@ -162,7 +149,8 @@ def _envelope_cut(p0: DataProfile, p1: DataProfile) -> float:
 
 def _quadratic_density(h0, h1, N, t, mode, wu=None, wv=None):
     """r -> (wu(L) u^2 + wv(L) v^2) r^{N-1} at every time of t, for the real
-    radial data (h0, h1): (node, time) values at a 1-d t, (node,) at a scalar.
+    radial data with transforms (h0, h1) in z = r^2: (node, time) values at a
+    1-d t, (node,) at a scalar.
 
     By :func:`closed_form_coefficients`, u = e^{-Lt/2} (a_u c + b_u s) and v
     likewise, with c = cos(nu t), s = sin(nu t), so the density is
@@ -180,8 +168,9 @@ def _quadratic_density(h0, h1, N, t, mode, wu=None, wv=None):
     neg_t = -t_col
 
     def density(r):
-        L = np.log1p(r * r)
-        a_u, b_u, a_v, b_v = closed_form_coefficients(h0(r), h1(r), L, mode)
+        z = r * r
+        L = np.log1p(z)
+        a_u, b_u, a_v, b_v = closed_form_coefficients(h0(z), h1(z), L, mode)
         rn = np.power(r, N - 1)
         k0 = k1 = k2 = 0.0
         for w, a, b in ((wu, a_u, b_u), (wv, a_v, b_v)):
@@ -208,19 +197,27 @@ def _spectral_quadratic(p0, p1, N, t, mode, wu=None, wv=None, rel_tol=1e-9, lo=0
     band is seeded with 32 geometric panels, from hi * 1e-5 (or lo, if
     higher) to hi: with them no energy or L^2 trace of the lab's data on the
     decay grids bisects, so every time keeps the bits of its own scalar
-    integral.  Negative times raise ValueError.
+    integral.  The first seed is at most 0.03 of the density's peak radius
+    sqrt((N-1)/(2t)) at the largest time (binding from t ~ 3.7e4 at N = 3),
+    lest the tree bisect down to the peak until its budget is spent.  A
+    non-radial datum is read as its modulus, which the real coefficients
+    allow only beside a zero datum; two nonzero data, one of them non-radial,
+    and negative times raise ValueError.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("requires t >= 0")
     if p0.is_zero and p1.is_zero:
         return np.zeros(t.shape)[()]
-    h0, h1 = _radial_hat_pair(p0, p1)
+    if not (p0.is_radial and p1.is_radial or p0.is_zero or p1.is_zero):
+        raise ValueError("need radial data (or a single non-radial datum with the other zero)")
     if hi is None:
         hi = _envelope_cut(p0, p1)
-    seeds = quadrature.geom_points(max(lo, hi * 1e-5), hi, 32)
-    res = quadrature.integrate(_quadratic_density(h0, h1, N, t, mode, wu, wv), lo, hi,
-                               tol=1e-300, rel_tol=rel_tol, breakpoints=seeds)
+    t_max = t.max(initial=0.0)
+    peak_seed = 0.03 * math.sqrt((N - 1) / (2.0 * t_max)) if t_max > 0 else math.inf
+    seeds = quadrature.geom_points(max(lo, min(hi * 1e-5, peak_seed)), hi, 32)
+    res = quadrature.integrate(_quadratic_density(p0.hat_z, p1.hat_z, N, t, mode, wu, wv),
+                               lo, hi, tol=1e-300, rel_tol=rel_tol, breakpoints=seeds)
     return _trace_norm(N) * res.value
 
 
@@ -311,14 +308,13 @@ def _profile_error_value(profile, N, t, lo, hi, rel_tol=1e-9) -> float:
     log(1 + r^2) = (log(1/rel_tol) + 40)/t, where e^{-Lt} has fallen below
     e^{-40} rel_tol, plus 8 geometric points up to hi.
     """
-    P1 = profile.P1
-    hat = profile.hat_radial
+    P1, hat_z = profile.P1, profile.hat_z
     s4 = math.sin(math.pi * t / 4.0)
 
     def integrand(r):
-        r = np.asarray(r, dtype=float)
-        L = np.log1p(r * r)
-        diff = s4 * hat(r) - P1 * np.sin(t * np.sqrt(L))
+        z = r * r
+        L = np.log1p(z)
+        diff = s4 * hat_z(z) - P1 * np.sin(t * np.sqrt(L))
         return (16.0 / PI_SQ) * np.exp(-L * t) * diff * diff * np.power(r, N - 1)
 
     if hi is None:
@@ -503,57 +499,6 @@ def profile_error_trace(profile_u1, N, tgrid, region="low", rel_tol=1e-9) -> Tra
         for j in np.flatnonzero(~take & (times != 0.0)):
             vals[j] = _profile_error_value(profile_u1, N, float(times[j]), lo, hi, rel_tol)
     return Trace(times, vals, f"profile-error-{region}")
-
-
-# ---------------------------------------------------------------------------
-# comparison-integral (optimality) trace
-
-
-def optimality_trace(N, tgrid):
-    """Raw and t^{N/2}-normalized traces of the sin^2 comparison integral (one
-    quadrature.optimality_integral call for the whole trace), plus its
-    two-sided window checks, the substitution-oracle agreement and
-    the sin^2 <= 1 majorant omega_N (I_{N-1} + J_{N-1}), taken in closed form
-    as omega_N B(N/2, t - N/2) / 2 through quadrature.log_beta, and the
-    anchors A_N and F_N(t_hi) that its floor check used."""
-    times = _times(tgrid)
-    with np.errstate(over="ignore"):
-        scale = times ** (N / 2.0)
-    if not np.all(np.isfinite(scale)):
-        t_over = float(times[~np.isfinite(scale)][0])
-        raise ValueError(f"normalized comparison integral at N={N}, t={t_over:g}: "
-                         f"t^(N/2) overflows a float")
-    raw = quadrature.optimality_integral(N, times)
-    oracle = np.array([quadrature.substitution_oracle(N, float(t)) for t in times])
-    norm = raw * scale
-
-    t_raw = Trace(times, raw, "comparison-integral")
-    t_norm = Trace(times, norm, "comparison-integral-normalized")
-
-    a_n = quadrature.a_const(N)
-    f_end = quadrature.f_osc(N, float(times[-1]))
-    lower_floor = quadrature.surface_area(N) * (a_n - f_end) * 0.95
-    rel_gap = float(np.max(np.abs(raw - oracle) / np.abs(raw)))
-    log_omega = math.log(quadrature.surface_area(N))
-    majorant = np.array([
-        math.exp(log_omega + quadrature.log_beta(N / 2.0, float(t) - N / 2.0) - math.log(2.0))
-        for t in times
-    ])
-
-    ratio = float(norm.max() / norm.min()) if norm.min() > 0 else math.inf
-    checks = [
-        Check("two-sided-window: normalized comparison integral positive",
-              bool(norm.min() > 0), float(norm.min())),
-        Check("two-sided-window: normalized max/min <= 3",
-              bool(ratio <= 3.0), 3.0 - ratio),
-        Check("lower-bound-constant: normalized min >= 0.95 * omega_N (A_N - F_N(t_hi))",
-              bool(norm.min() >= lower_floor), float(norm.min() - lower_floor)),
-        Check("substitution-oracle agreement <= 1e-8 relative",
-              bool(rel_gap <= 1e-8), 1e-8 - rel_gap),
-        Check("sin^2 <= 1 majorant: raw <= omega_N (I_{N-1} + J_{N-1})",
-              bool(np.all(raw <= majorant)), float(np.min(majorant - raw))),
-    ]
-    return t_raw, t_norm, checks, (a_n, f_end)
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +822,7 @@ def run_profile(p1, N, tgrid, rel_tol=1e-9) -> ExperimentReport:
     r = np.linspace(0.0, 3.0, 16)
     t = np.array([0.5, 1.0, 7.3, 20.0]).reshape(-1, 1)
     terms = profile_terms(p1, r, t)
-    u_hat = propagate_closed(0.0, p1.hat_radial(r), r, t, mode).u_hat
+    u_hat = propagate_closed(0.0, p1.hat_z(r * r), r, t, mode).u_hat
     worst = float(np.max(np.abs(u_hat - (terms.f1 + terms.f2 + terms.f3))))
     bound = max(1e-12, 1e-14 * float(np.max(np.abs(u_hat))))
     rep.checks.append(Check("exact split u = F1 + F2 + F3 to 1e-12",
@@ -896,10 +841,47 @@ def run_profile(p1, N, tgrid, rel_tol=1e-9) -> ExperimentReport:
 
 
 def run_optimality(N, tgrid) -> ExperimentReport:
+    """Raw and t^{N/2}-normalized traces of the sin^2 comparison integral (one
+    quadrature.optimality_integral call for the whole trace), with its
+    two-sided window checks, the substitution-oracle agreement, the sin^2 <= 1
+    majorant omega_N (I_{N-1} + J_{N-1}), taken in closed form as omega_N
+    B(N/2, t - N/2) / 2 through quadrature.log_beta, the exponent fit and the
+    anchors A_N and F_N(t_hi) of the floor check."""
     rep = ExperimentReport(name="optimality", parameters={"N": N})
-    t_raw, t_norm, checks, (a_n, f_end) = optimality_trace(N, tgrid)
-    rep.traces += [t_raw, t_norm]
-    rep.checks += checks
+    times = _times(tgrid)
+    with np.errstate(over="ignore"):
+        scale = times ** (N / 2.0)
+    if not np.all(np.isfinite(scale)):
+        t_over = float(times[~np.isfinite(scale)][0])
+        raise ValueError(f"normalized comparison integral at N={N}, t={t_over:g}: "
+                         f"t^(N/2) overflows a float")
+    raw = quadrature.optimality_integral(N, times)
+    oracle = np.array([quadrature.substitution_oracle(N, float(t)) for t in times])
+    norm = raw * scale
+    t_raw = Trace(times, raw, "comparison-integral")
+    rep.traces += [t_raw, Trace(times, norm, "comparison-integral-normalized")]
+
+    a_n = quadrature.a_const(N)
+    f_end = quadrature.f_osc(N, float(times[-1]))
+    omega = quadrature.surface_area(N)
+    lower_floor = omega * (a_n - f_end) * 0.95
+    rel_gap = float(np.max(np.abs(raw - oracle) / np.abs(raw)))
+    log_omega = math.log(omega)
+    majorant = np.array([math.exp(log_omega + quadrature.log_beta(N / 2.0, float(t) - N / 2.0)
+                                  - math.log(2.0)) for t in times])
+    ratio = float(norm.max() / norm.min()) if norm.min() > 0 else math.inf
+    rep.checks += [
+        Check("two-sided-window: normalized comparison integral positive",
+              bool(norm.min() > 0), float(norm.min())),
+        Check("two-sided-window: normalized max/min <= 3",
+              bool(ratio <= 3.0), 3.0 - ratio),
+        Check("lower-bound-constant: normalized min >= 0.95 * omega_N (A_N - F_N(t_hi))",
+              bool(norm.min() >= lower_floor), float(norm.min() - lower_floor)),
+        Check("substitution-oracle agreement <= 1e-8 relative",
+              bool(rel_gap <= 1e-8), 1e-8 - rel_gap),
+        Check("sin^2 <= 1 majorant: raw <= omega_N (I_{N-1} + J_{N-1})",
+              bool(np.all(raw <= majorant)), float(np.min(majorant - raw))),
+    ]
     raw_fit = fit_rate(t_raw, "power")
     rep.fits.append(raw_fit)
     gap = abs(raw_fit.rate + N / 2.0)

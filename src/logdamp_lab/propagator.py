@@ -64,13 +64,15 @@ def closed_form_coefficients(u0, u1, L, mode=PropagatorMode.ODE):
     nu = pi/2 ("ode") or pi/4 ("paper"; b_u is then the familiar
     (2L/pi) u0 + (4/pi) u1).  The coefficients depend on the radius only
     through L, so a caller that needs many times builds them once per radius.
-    Broadcasts over u0, u1 and L; real data give real coefficients.
+    Broadcasts over u0, u1 and L, which may be complex (an L off the real
+    axis makes the data complex too); real data and real L give real
+    coefficients, and a real L stays real.
     """
     nu = carrier_frequency(mode)
-    dtype = np.result_type(u0, u1, float)
+    dtype = np.result_type(u0, u1, L, float)
     u0 = np.asarray(u0, dtype=dtype)
     u1 = np.asarray(u1, dtype=dtype)
-    L = np.asarray(L, dtype=float)
+    L = np.asarray(L, dtype=np.result_type(L, float))
     b_u = (u1 + 0.5 * L * u0) / nu
     b_v = -((0.25 * L * L + nu * nu) / nu * u0 + 0.5 * L / nu * u1)
     return u0, b_u, u1, b_v

@@ -217,8 +217,11 @@ def integrate(
     # Scalars keep their own loop.  Routed through _integrate_components they
     # give the same bits but run slower (one Intel Xeon core): exp(-x^2) on
     # [0, 3] with no bisection 72 -> 98 us, sqrt on [0, 1] at rel_tol 1e-13
-    # (23 bisections) 0.54 -> 0.97 ms.  A pass of the traces-mixed-data
-    # benchmark workload makes 1082 scalar calls with 78 bisections in all.
+    # (23 bisections) 0.54 -> 0.97 ms.  Per seed-0 pass the benchmark's
+    # pipeline-default / comparison-large-t / traces-mixed-data make 148 / 126
+    # / 206 scalar calls (38 / 0 / 78 bisections) and 14 / 1 / 40 vector ones
+    # (none); traces-mixed-data's set-up adds 12 scalar calls (99 bisections),
+    # 3.2 -> 4.9 ms routed (best of 30, 2-vCPU Xeon VM).
     if vals.ndim == 2:
         return _integrate_components(f, a, b, tol, rel_tol, max_panels,
                                      lo, hi, vals, errs, evals)
@@ -382,10 +385,14 @@ def _normal_value(what: str, value: float) -> float:
     return value
 
 
-def _comparison_value(N: int, t: float, integral: float) -> float:
-    """omega_N * integral, refused by :func:`_normal_value` when subnormal."""
-    return _normal_value(f"comparison integral at N={N}, t={t:g}",
-                         surface_area(N) * integral)
+def _comparison_value(N: int, t, integral):
+    """omega_N * integral at a time t or at each of an array of times, refused
+    by :func:`_normal_value` at the first subnormal value, whose message is
+    the only one formatted."""
+    value = surface_area(N) * integral
+    for j in np.flatnonzero(~(np.ravel(value) >= sys.float_info.min)):
+        _normal_value(f"comparison integral at N={N}, t={np.ravel(t)[j]:g}", np.ravel(value)[j])
+    return value
 
 
 def _comparison_log_scale(N: int, t: float) -> float:
@@ -483,8 +490,8 @@ def optimality_integral(N: int, t):
     bound = _leg_two_bound(N, times)
     for j in np.flatnonzero(bound > 0.1 * _LEG_TWO_TOL * np.abs(integral)):
         integral[j] = _leg_two(N, float(times[j]), float(integral[j]), float(bound[j]))
-    values = [_comparison_value(N, float(T), I) for T, I in zip(times, integral)]
-    return values[0] if np.ndim(t) == 0 else np.array(values)
+    values = _comparison_value(N, times, integral)
+    return values[0] if np.ndim(t) == 0 else values
 
 
 def _leg_one(N: int, times: np.ndarray) -> np.ndarray:
@@ -510,17 +517,18 @@ def _leg_one(N: int, times: np.ndarray) -> np.ndarray:
 
 
 def _leg_two_bound(N: int, times: np.ndarray) -> np.ndarray:
-    """The closed-form bound e^{-t-1} 2^beta (sqrt(pi/a)/2 + 1/(2a)), a = t-N/2,
-    on |Re int_i^{i+inf} e^{-t((y-i)^2+1)} G(y) dy|, per time.
+    """The closed-form bound e^{-t-1} q^beta (sqrt(pi/a)/2 + 1/(2a)), a = t-N/2,
+    q = 1 + 1/e, on |Re int_i^{i+inf} e^{-t((y-i)^2+1)} G(y) dy|, per time.
 
     On y = x + i, |G| <= sqrt(x^2+1) e^{x^2-1} (e^{x^2-1}+1)^beta <= (1+x)
-    e^{-1} 2^beta e^{(1+beta) x^2}, so the leg's integrand e^{-t(1+x^2)} G is
-    at most e^{-t-1} 2^beta (1+x) e^{-a x^2}, and int_0^inf (1+x) e^{-a x^2} dx
-    is sqrt(pi/a)/2 + 1/(2a).  Beyond any x = X the same integral is at most
-    that bound times e^{-a X^2}, the shape :func:`_tail_cut` certifies.
+    e^{-1} q^beta e^{(1+beta) x^2}, as e^{x^2-1} + 1 <= q e^{x^2}, so the leg's
+    integrand e^{-t(1+x^2)} G is at most e^{-t-1} q^beta (1+x) e^{-a x^2}, and
+    int_0^inf (1+x) e^{-a x^2} dx is sqrt(pi/a)/2 + 1/(2a).  Beyond any x = X
+    the same integral is at most that bound times e^{-a X^2}, the shape
+    :func:`_tail_cut` certifies.
     """
     a = times - N / 2.0
-    return (np.exp(-times - 1.0 + 0.5 * (N - 2) * math.log(2.0))
+    return (np.exp(-times - 1.0 + 0.5 * (N - 2) * math.log1p(math.exp(-1.0)))
             * (0.5 * np.sqrt(math.pi / a) + 0.5 / a))
 
 

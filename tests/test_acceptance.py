@@ -241,7 +241,7 @@ def test_c6_exact_decomposition(gaussian):
     for r in np.linspace(0.0, 3.0, 16):
         for t in (0.5, 1.0, 7.3, 20.0):
             terms = profile_terms(gaussian, float(r), float(t))
-            u_hat = propagate_closed(0.0, complex(gaussian.hat_radial(float(r))),
+            u_hat = propagate_closed(0.0, complex(gaussian.hat_z(float(r * r))),
                                      float(r), float(t), "paper").u_hat
             worst = max(worst, abs(u_hat - (terms.f1 + terms.f2 + terms.f3)))
     _line("C6.split", worst <= 1e-12, f"max split defect {worst:.3e}")

@@ -256,6 +256,21 @@ def test_mass_profile_runs_to_ten_billion(tmp_path):
     assert all(math.isfinite(x) and x > 0 for x in v)
 
 
+@pytest.mark.parametrize("mode", ["ode", "paper"])
+def test_decay_runs_to_a_quadrillion(tmp_path, mode):
+    # the density peaks near r = sqrt((N-1)/(2t)), 3e-8 at t = 1e15; the trace
+    # seeds start at a fraction of that radius, so no panel budget is spent
+    # bisecting down to it
+    res = _invoke(["decay", "--mode", mode, "--t-hi", "1e15", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    rows = (tmp_path / "decay" / "energy.csv").read_text().split()[1:]
+    t, energy = map(float, rows[-1].split(","))
+    assert t == 1e15
+    if mode == "ode":
+        # u1 = gaussian:a=1 leads with E t^{3/2} -> pi^{3/2}/8
+        assert abs(energy * t ** 1.5 / (math.pi ** 1.5 / 8.0) - 1.0) <= 1e-12
+
+
 def test_lemmas_command_passes(tmp_path):
     res = _invoke(["lemmas", "--out", str(tmp_path), "--seed", "0"])
     assert res.exit_code == 0, res.output

@@ -15,19 +15,19 @@ def test_gaussian_closed_forms():
     assert abs(p.P1 - PI ** 1.5) < 1e-12
     # first absolute moment of e^{-|x|^2} in R^3 is omega_3 Gamma(2)/2 = 2 pi
     assert abs(p.l11 - (PI ** 1.5 + 2.0 * PI)) < 1e-12
-    assert abs(p.hat_radial(1.0) - PI ** 1.5 * math.exp(-0.25)) < 1e-12
+    assert abs(p.hat_z(1.0) - PI ** 1.5 * math.exp(-0.25)) < 1e-12
 
 
 def test_gaussian_general_width():
     p = cat.make_profile("gaussian", N=4, a=2.0)
     assert abs(p.P1 - (PI / 2.0) ** 2) < 1e-12
-    assert abs(p.hat_radial(2.0) - p.P1 * math.exp(-4.0 / 8.0)) < 1e-12
+    assert abs(p.hat_z(4.0) - p.P1 * math.exp(-4.0 / 8.0)) < 1e-12
 
 
 def test_zero_mean_pair():
     p = cat.make_profile("zero_mean_pair", N=3)
     assert abs(p.P1) < 1e-14
-    assert abs(p.hat_radial(0.0)) < 1e-14
+    assert abs(p.hat_z(0.0)) < 1e-14
 
 
 def test_zero_mean_pair_l1_against_reference():
@@ -58,22 +58,22 @@ def test_zero_mean_pair_transform_to_a_few_ulp(N):
             x = mpmath.mpf(r) ** 2
             ex = float(mpmath.pi ** (mpmath.mpf(N) / 2)
                        * (mpmath.exp(-x / 4) - mpmath.exp(-x / 8)))
-        assert abs(float(p.hat_radial(r)) - ex) <= 4.0 * np.finfo(float).eps * abs(ex)
+        assert abs(float(p.hat_z(r * r)) - ex) <= 4.0 * np.finfo(float).eps * abs(ex)
 
 
-def test_hat_radial_keeps_its_bits_as_the_transform_in_z():
-    # hat_radial is hat_z at r * r; each kind's radial form before the
-    # transform moved to z = r^2, on 1e5 radii
+def test_hat_z_at_r_squared_keeps_the_bits_of_the_radial_forms():
+    # every reader takes hat_z at z = r * r; each kind's radial form before
+    # the transform moved to z = r^2, on 1e5 radii
     r = np.concatenate([np.geomspace(1e-8, 40.0, 99_990), np.arange(10.0)])
     for N in (3, 5):
         for a in (0.5, 1.0, 1.767):
             amp = (PI / a) ** (N / 2.0)
-            got = cat.make_profile("gaussian", N=N, a=a).hat_radial(r)
+            got = cat.make_profile("gaussian", N=N, a=a).hat_z(r * r)
             assert np.array_equal(got, amp * np.exp(-r ** 2 / (4.0 * a)))
         amp = PI ** (N / 2.0)
-        pair = cat.make_profile("zero_mean_pair", N=N).hat_radial(r)
+        pair = cat.make_profile("zero_mean_pair", N=N).hat_z(r * r)
         assert np.array_equal(pair, amp * np.exp(-r * r / 8.0) * np.expm1(-r * r / 8.0))
-        shifted = cat.make_profile("shifted_gaussian", N=N, offset=0.5).hat_radial(r)
+        shifted = cat.make_profile("shifted_gaussian", N=N, offset=0.5).hat_z(r * r)
         assert np.array_equal(shifted, amp * np.exp(-r ** 2 / 4.0))
 
 
@@ -101,13 +101,13 @@ def test_shifted_gaussian_fields():
     assert not p.is_radial and p.l11 is None
     assert abs(p.P1 - PI ** 1.5) < 1e-12
     # |hat| is radial even though hat is not, and does not see the offset
-    assert abs(p.hat_radial(1.0) - PI ** 1.5 * math.exp(-0.25)) < 1e-12
+    assert abs(p.hat_z(1.0) - PI ** 1.5 * math.exp(-0.25)) < 1e-12
 
 
 def test_zero_profile():
     p = cat.make_profile("zero", N=3)
     assert p.is_zero and p.P1 == 0.0 and p.l11 == 0.0
-    assert p.hat_radial(2.0) == 0.0
+    assert p.hat_z(4.0) == 0.0
 
 
 def test_make_profile_validation():
@@ -152,7 +152,7 @@ def test_moment_bounds_with_unit_constants():
     r = rng.uniform(1e-3, 2.0, 1000)
     for kind, kw in (("gaussian", {"a": 1.0}), ("zero_mean_pair", {})):
         p = cat.make_profile(kind, N=3, **kw)
-        A = p.hat_radial(r) - p.P1
+        A = p.hat_z(r * r) - p.P1
         assert np.all(np.abs(A) <= r * p.l11 + 1e-12)
         worst = float(np.max(np.abs(A) / (r * p.l11)))
         print(f"measured moment-bound maximum, {kind}: {worst:.4f}")
@@ -166,7 +166,7 @@ def test_profile_terms_trivial_cases():
     pair = cat.make_profile("zero_mean_pair", N=3)
     terms = cat.profile_terms(pair, 0.7, 3.0)
     assert terms.f2 == 0.0 and terms.f3 == 0.0  # every mass factor vanishes
-    u_hat = propagate_closed(0.0, complex(pair.hat_radial(0.7)), 0.7, 3.0, "paper").u_hat
+    u_hat = propagate_closed(0.0, complex(pair.hat_z(0.7 * 0.7)), 0.7, 3.0, "paper").u_hat
     assert abs(u_hat - terms.f1) < 1e-15  # the solution reduces to F1
     g = cat.make_profile("gaussian", N=3, a=1.0)
     t0 = cat.profile_terms(g, 0.9, 0.0)
@@ -186,7 +186,7 @@ def test_profile_terms_exact_split():
     r = np.linspace(0.0, 3.0, 13)
     t = np.array([0.5, 1.0, 4.2, 11.0]).reshape(-1, 1)
     terms = cat.profile_terms(g, r, t)
-    u_hat = propagate_closed(0.0, g.hat_radial(r), r, t, "paper").u_hat
+    u_hat = propagate_closed(0.0, g.hat_z(r * r), r, t, "paper").u_hat
     assert u_hat.shape == terms.f1.shape == (4, 13)
     assert np.all(np.abs(u_hat - (terms.f1 + terms.f2 + terms.f3)) < 1e-12)
 

@@ -95,11 +95,12 @@ def test_two_nonzero_data_one_non_radial_are_refused():
     shifted, g = make_profile("shifted_gaussian", N=3), make_profile("gaussian", N=3)
     for p0, p1 in ((g, shifted), (shifted, g), (shifted, shifted)):
         with pytest.raises(ValueError, match="need radial data"):
-            xp._radial_hat_pair(p0, p1)
+            xp.l2_value(p0, p1, 3, 1.0, PropagatorMode.ODE)
+    # paired with a zero datum, the non-radial one is read through its modulus
     zero = make_profile("zero", N=3)
-    h0, h1 = xp._radial_hat_pair(zero, shifted)
-    r = np.linspace(0.0, 5.0, 11)
-    assert np.array_equal(h1(r), g.hat_radial(r)) and not np.any(h0(r))
+    times = np.array([1.0, 5.0])
+    assert np.array_equal(xp.l2_value(zero, shifted, 3, times, PropagatorMode.ODE),
+                          xp.l2_value(zero, g, 3, times, PropagatorMode.ODE))
 
 
 def test_energy_value_plancherel_anchor(zero, gaussian):
@@ -127,7 +128,7 @@ def test_trace_matches_oracle_recomputation(zero, gaussian):
     nodes, weights = np.polynomial.legendre.leggauss(120)
     r = 0.5 * 12.0 * (nodes + 1.0)
     w = 0.5 * 12.0 * weights
-    hat1 = gaussian.hat_radial(r)
+    hat1 = gaussian.hat_z(r * r)
     spot_times = np.array([0.5, 1.5, 3.0, 6.0, 10.0])
     ou, ov = oracle_grid(np.zeros_like(r, dtype=complex), hat1.astype(complex),
                          r, spot_times)
@@ -225,16 +226,17 @@ def test_factored_density_matches_propagate_closed(data, mode):
     # the energy density is positive definite and also holds pointwise.
     N = 3
     p0, p1 = (make_profile(k, N=N) for k in data.split(","))
-    h0, h1 = xp._radial_hat_pair(p0, p1)
+    h0, h1 = p0.hat_z, p1.hat_z
     r = np.linspace(0.0, 20.0, 401)
-    L = np.log1p(r * r)
-    coef = closed_form_coefficients(h0(r), h1(r), L, mode)
+    z = r * r
+    L = np.log1p(z)
+    coef = closed_form_coefficients(h0(z), h1(z), L, mode)
     for wu, wv in _WEIGHTS.values():
         for t in (0.0, 3.3, np.array([0.0, 0.7, 3.3, 12.5, 40.0])):
             t = np.asarray(t)
             got = xp._quadratic_density(h0, h1, N, t, mode, wu, wv)(r)
             t_col = t.reshape(-1, 1) if t.ndim else t
-            st = propagate_closed(h0(r), h1(r), r, t_col, mode)
+            st = propagate_closed(h0(z), h1(z), r, t_col, mode)
             want, scale = 0.0, 0.0
             for w, x, a, b in ((wu, st.u_hat, *coef[:2]), (wv, st.v_hat, *coef[2:])):
                 if w is not None:
@@ -402,7 +404,7 @@ def test_profile_error_zero_mass_equals_deviation_term(pair):
     def direct(r):
         L = np.log1p(r * r)
         return (16.0 / PI_SQ) * np.exp(-L * t) * (math.sin(PI * t / 4.0)
-                                                  * pair.hat_radial(r)) ** 2 * r * r
+                                                  * pair.hat_z(r * r)) ** 2 * r * r
 
     ref = (2 * PI) ** -3 * surface_area(3) * integrate(direct, 0.0, 1.0, tol=1e-14).value
     assert abs(tr.values[0] - ref) < 1e-9 * ref
@@ -477,7 +479,7 @@ def _uncut_low_band(profile, N, t):
 
     def f(r):
         L = np.log1p(r * r)
-        diff = s4 * profile.hat_radial(r) - P1 * np.sin(t * np.sqrt(L))
+        diff = s4 * profile.hat_z(r * r) - P1 * np.sin(t * np.sqrt(L))
         return (16.0 / PI_SQ) * np.exp(-L * t) * diff * diff * r ** (N - 1)
 
     seeds = np.concatenate([xp.quadrature.phase_radii(t, 0.0, 1.0),
@@ -738,14 +740,14 @@ def test_run_all_names_and_serialization(tmp_path, zero, gaussian):
         assert d["name"] == rep.name
 
 
-def test_optimality_trace_majorant_needs_no_quadrature(monkeypatch):
+def test_optimality_majorant_needs_no_quadrature(monkeypatch):
     # the sin^2 <= 1 majorant is omega_N B(N/2, t - N/2) / 2 in closed form
     def refuse(*args):
-        raise AssertionError("optimality_trace integrated the majorant")
+        raise AssertionError("run_optimality integrated the majorant")
 
     monkeypatch.setattr(xp.quadrature, "integral_Ip", refuse)
     monkeypatch.setattr(xp.quadrature, "integral_Jp", refuse)
-    _, _, checks, _ = xp.optimality_trace(3, [100.0, 300.0, 1000.0])
+    checks = xp.run_optimality(3, xp.TimeGrid(100.0, 1000.0, 8)).checks
     majorant = [c for c in checks if c.description.startswith("sin^2 <= 1 majorant")]
     assert len(majorant) == 1 and majorant[0].passed
 

@@ -75,6 +75,32 @@ def test_closed_form_defect_paper_characterized():
     assert np.max(np.abs(defect)) > 0.1
 
 
+def test_closed_form_coefficients_take_a_complex_symbol():
+    # a complex L (the contour routes' z off the real axis) gives the formula's
+    # values, and a real L keeps the bits of the float arithmetic
+    L = np.array([0.3 + 0.2j, 1.5 - 0.7j, 4.0 + 3.0j])
+    for mode in prop.PropagatorMode:
+        nu = prop.carrier_frequency(mode)
+        for u0, u1 in ((1.2, -0.4), (1.0 + 0.3j, -0.7 + 1.0j)):
+            want = (u0 + 0.0 * L, (u1 + 0.5 * L * u0) / nu, u1 + 0.0 * L,
+                    -((0.25 * L * L + nu * nu) * u0 + 0.5 * L * u1) / nu)
+            got = np.broadcast_arrays(*prop.closed_form_coefficients(u0, u1, L, mode))
+            for g, w in zip(got, want):
+                assert g.dtype == complex
+                assert np.all(np.abs(g - w) <= 1e-15 * np.abs(w))
+    L = np.log1p(np.linspace(0.0, 30.0, 61) ** 2)
+    for mode in prop.PropagatorMode:
+        nu = prop.carrier_frequency(mode)
+        for u0, u1 in ((1.2, -0.4), (1.0 + 0.3j, -0.7 + 1.0j)):
+            dtype = np.result_type(u0, u1, float)
+            a, b = np.asarray(u0, dtype=dtype), np.asarray(u1, dtype=dtype)
+            want = (a, (b + 0.5 * L * a) / nu, b,
+                    -((0.25 * L * L + nu * nu) / nu * a + 0.5 * L / nu * b))
+            got = prop.closed_form_coefficients(u0, u1, L, mode)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("index", [1, 3])
 def test_closed_form_defect_sees_a_wrong_coefficient(monkeypatch, index):
     # u'' is the derivative of the closed-form v, so a state off its

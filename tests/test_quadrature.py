@@ -491,7 +491,7 @@ def test_leg_two_cut_certifies_from_an_estimate_far_too_high(N, monkeypatch):
     assert len(heads) > 1
 
 
-@pytest.mark.parametrize("N, t, calls, max_evals", [(3, 5.0, 1, 130), (200, 102.0, 2, None)])
+@pytest.mark.parametrize("N, t, calls, max_evals", [(3, 5.0, 1, 130), (200, 150.0, 2, None)])
 def test_leg_two_certifies_its_first_cut(N, t, calls, max_evals, monkeypatch):
     # the value-sized first cut of leg 2 certifies in one pass (even N adds
     # the one leg-1 integral); at N = 3, t = 5 it costs 90 evals, held here
@@ -501,6 +501,35 @@ def test_leg_two_certifies_its_first_cut(N, t, calls, max_evals, monkeypatch):
     assert len(evals) == calls
     if max_evals is not None:
         assert evals[-1] <= max_evals
+
+
+@pytest.mark.parametrize("t", [101.5, 282.0])
+def test_leg_two_is_skipped_where_its_bound_is_negligible_at_n_200(t, monkeypatch):
+    # e^{x^2-1} + 1 <= (1 + 1/e) e^{x^2} bounds leg 2 below 1e-14 of the value
+    # here, so the even-N route is the mean half and the one leg-1 integral
+    evals = _integrate_spy(monkeypatch)
+    q.optimality_integral(200, t)
+    assert len(evals) == 1
+
+
+def test_comparison_values_format_no_message_unless_they_refuse(monkeypatch):
+    # the underflow refusal is built only for a value that needs it
+    calls = []
+    normal_value = q._normal_value
+
+    def spy(*args):
+        calls.append(args)
+        return normal_value(*args)
+
+    monkeypatch.setattr(q, "_normal_value", spy)
+    times = np.geomspace(3.0, 1e6, 200)
+    values = q.optimality_integral(3, times)
+    assert values.shape == (200,) and np.all(values > 0)
+    assert not calls
+    with pytest.raises(ValueError, match=r"^comparison integral at N=200, t=3888.16 "
+                                         r"underflows a float \(1.02e-309 < 2.23e-308\)$"):
+        q.optimality_integral(200, np.array([1e3, 3888.16, 4e3]))
+    assert len(calls) == 1
 
 
 def _real_axis_reference(N, t, dps=30):
