@@ -230,12 +230,14 @@ def run(config: RunConfig) -> int:
         base = write_report(rep, config.out_dir)
         if rep.traces:
             (base / "plot.py").write_text(emit_plot_script(rep), encoding="utf-8")
+        # file=sys.stdout: by default click caches a wrapper per stdout that
+        # holds the stream, so each stdout a caller swaps in would live on
         for chk in rep.checks:
             status = "PASS" if chk.passed else "FAIL"
             click.echo(f"[{status}] {rep.name}: {chk.description} "
-                       f"(margin={chk.margin:.3e})")
+                       f"(margin={chk.margin:.3e})", file=sys.stdout)
             ok = ok and chk.passed
-        click.echo(f"report written to {base}")
+        click.echo(f"report written to {base}", file=sys.stdout)
     return 0 if ok else 2
 
 

@@ -843,7 +843,8 @@ def run_profile(p1, N, tgrid, rel_tol=1e-9) -> ExperimentReport:
 def run_optimality(N, tgrid) -> ExperimentReport:
     """Raw and t^{N/2}-normalized traces of the sin^2 comparison integral (one
     quadrature.optimality_integral call for the whole trace), with its
-    two-sided window checks, the substitution-oracle agreement, the sin^2 <= 1
+    two-sided window checks, the agreement with one quadrature.substitution_oracle
+    call for the whole trace, the sin^2 <= 1
     majorant omega_N (I_{N-1} + J_{N-1}), taken in closed form as omega_N
     B(N/2, t - N/2) / 2 through quadrature.log_beta, the exponent fit and the
     anchors A_N and F_N(t_hi) of the floor check."""
@@ -856,7 +857,7 @@ def run_optimality(N, tgrid) -> ExperimentReport:
         raise ValueError(f"normalized comparison integral at N={N}, t={t_over:g}: "
                          f"t^(N/2) overflows a float")
     raw = quadrature.optimality_integral(N, times)
-    oracle = np.array([quadrature.substitution_oracle(N, float(t)) for t in times])
+    oracle = quadrature.substitution_oracle(N, times)
     norm = raw * scale
     t_raw = Trace(times, raw, "comparison-integral")
     rep.traces += [t_raw, Trace(times, norm, "comparison-integral-normalized")]
@@ -867,8 +868,8 @@ def run_optimality(N, tgrid) -> ExperimentReport:
     lower_floor = omega * (a_n - f_end) * 0.95
     rel_gap = float(np.max(np.abs(raw - oracle) / np.abs(raw)))
     log_omega = math.log(omega)
-    majorant = np.array([math.exp(log_omega + quadrature.log_beta(N / 2.0, float(t) - N / 2.0)
-                                  - math.log(2.0)) for t in times])
+    majorant = np.array([math.exp(log_omega + log_b - math.log(2.0))
+                         for log_b in quadrature.log_beta(N / 2.0, times - N / 2.0)])
     ratio = float(norm.max() / norm.min()) if norm.min() > 0 else math.inf
     rep.checks += [
         Check("two-sided-window: normalized comparison integral positive",

@@ -94,6 +94,27 @@ def test_run_turns_every_lab_exception_into_config_invalid(tmp_path, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+def test_run_keeps_no_redirected_stdout_alive(tmp_path):
+    # run() called in-process with stdout redirected, pass after pass, must
+    # let each redirected stream go once the caller drops it
+    import contextlib
+    import gc
+    import io
+    import weakref
+
+    cfg = cli.build_config("optimality", {"out": str(tmp_path / "out"), "t_count": 8})
+    streams = []
+    for _ in range(3):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.run(cfg) == 0
+        assert "report written to" in buf.getvalue()
+        streams.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert all(ref() is None for ref in streams)
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"n": 4, "u1": "gaussian:a=2", "seed": 7}))

@@ -93,11 +93,13 @@ def test_phase_radii_phase_spacing():
 @pytest.mark.parametrize("N", [3, 4, 5])
 @pytest.mark.parametrize("t", [1e2, 3e4])
 def test_comparison_routes_meet_their_target_on_the_phase_seeds(N, t, monkeypatch):
-    # a phase step too coarse for the panel rule shows up as bisections: every
-    # integral of the substitution oracle must finish in its seed pass.  The
-    # contour route makes one integral here, leg 1 for even N on geometric
-    # seeds, and it too must finish in its seed pass; for odd N the mean half
-    # is the whole value and leg 2 is skipped by its bound
+    # panels too long for the envelope show up as a halved m or a second cut:
+    # the substitution oracle must certify its first panel set, m half
+    # periods each at the largest m with m pi/2 <= sqrt(t)/4, and make no
+    # integrate call.  The contour route makes one integral here, leg 1 for
+    # even N on geometric seeds, and it must finish in its seed pass; for odd
+    # N the mean half is the whole value and leg 2 is skipped by its bound
+    panels = _sin2_spy(monkeypatch)
     calls = []
     integrate = q.integrate
 
@@ -109,11 +111,11 @@ def test_comparison_routes_meet_their_target_on_the_phase_seeds(N, t, monkeypatc
 
     monkeypatch.setattr(q, "integrate", spy)
     q.substitution_oracle(N, t)
-    assert len(calls) >= 1
-    oracle_calls = len(calls)
+    assert [m for m, _ in panels] == [{1e2: 1, 3e4: 16}[t]]
+    assert not calls
     q.optimality_integral(N, t)
-    assert len(calls) - oracle_calls == (N % 2 == 0)
-    assert all(evals == 15 * panels for evals, panels in calls)
+    assert len(calls) == (N % 2 == 0)
+    assert all(evals == 15 * seeds for evals, seeds in calls)
 
 
 def test_non_convergence_names_the_interval():
@@ -443,31 +445,48 @@ def _integrate_spy(monkeypatch):
     return evals
 
 
+def _sin2_spy(monkeypatch):
+    """(m, panels) of every panel pass of the substitution oracle."""
+    passes = []
+    panels = q._sin2_panels
+
+    def spy(f, dy, m, n):
+        passes.append((m, n))
+        return panels(f, dy, m, n)
+
+    monkeypatch.setattr(q, "_sin2_panels", spy)
+    return passes
+
+
 @pytest.mark.parametrize("N", [3, 4])
 @pytest.mark.parametrize("route", [q.substitution_oracle])
 def test_tail_cut_certifies_from_an_estimate_far_too_high(route, N, monkeypatch):
     # a log_scale 20 too high puts the first cut far too short: the loop's own
-    # test must reject it and grow the cut until the value certifies
+    # test must reject it and grow the cut, at the same m, until the value
+    # certifies
     t = 1e3
     want = route(N, t)
     scale = q._comparison_log_scale
     monkeypatch.setattr(q, "_comparison_log_scale", lambda N, t: scale(N, t) + 20.0)
-    evals = _integrate_spy(monkeypatch)
+    passes = _sin2_spy(monkeypatch)
     assert abs(route(N, t) - want) <= 1e-12 * want
-    assert len(evals) > 1
+    assert len(passes) > 1
+    assert {m for m, _ in passes} == {4}
+    assert all(a < b for (_, a), (_, b) in zip(passes, passes[1:]))
 
 
 @pytest.mark.parametrize("route", [q.substitution_oracle])
-@pytest.mark.parametrize("N, t, max_evals", [(200, 3455.11, None), (3, 1e4, 6000)])
+@pytest.mark.parametrize("N, t, max_evals", [(200, 3455.11, None), (3, 1e4, 1650)])
 def test_comparison_routes_certify_their_first_cut(route, N, t, max_evals, monkeypatch):
-    # the value-sized first cut certifies in one pass, even at N = 200 where
-    # the value is near the float floor; at N = 3, t = 1e4 it costs 5,505
-    # evals, held here with about 10 % headroom
+    # the value-sized first cut certifies in one panel pass, even at N = 200
+    # where the value is near the float floor; at N = 3, t = 1e4 it costs
+    # 1,518 evals
     evals = _integrate_spy(monkeypatch)
+    passes = _sin2_spy(monkeypatch)
     route(N, t)
-    assert len(evals) == 1
+    assert len(passes) == 1 and not evals
     if max_evals is not None:
-        assert evals[0] <= max_evals
+        assert 33 * passes[0][1] <= max_evals
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -606,14 +625,16 @@ def test_oracle_at_large_n_just_above_the_threshold(t):
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 @pytest.mark.parametrize("t", [1e10, 1e12])
 def test_contour_route_past_the_oracle_wall(N, t):
-    # the oracle's phase seeds exceed its panel budget here; the contour route
-    # does not oscillate at frequency t.  Odd N: the value is the mean half
+    # the contour route does not oscillate at frequency t, and the oracle's
+    # panels grow with the envelope: both certify here, and the oracle's
+    # panel wall lies near t = 2e14 at N = 3.  Odd N: the value is the mean half
     # omega_N B(N/2, t-N/2)/4 (leg 2 is below e^{-t}); even N adds leg 1,
     # taken by mpmath
     import mpmath
 
-    with pytest.raises(q.NonConvergence, match="seed panels"):
-        q.substitution_oracle(N, t)
+    with pytest.raises(q.NonConvergence, match=rf"^substitution oracle at N={N}, "
+                                               rf"t=1e\+15: \d+ panels exceed budget 60000$"):
+        q.substitution_oracle(N, 1e15)
     with mpmath.workdps(30):
         half = mpmath.beta(mpmath.mpf(N) / 2, mpmath.mpf(t) - mpmath.mpf(N) / 2) / 4
         if N % 2 == 0:
@@ -627,6 +648,88 @@ def test_contour_route_past_the_oracle_wall(N, t):
             half += (-1) ** beta * mpmath.quad(leg_one, [0, peak, 10 * peak, 100 * peak, 1]) / 2
         ref = float(2 * mpmath.pi ** (mpmath.mpf(N) / 2) / mpmath.gamma(mpmath.mpf(N) / 2) * half)
     assert abs(q.optimality_integral(N, t) - ref) <= 1e-12 * ref
+    assert abs(q.substitution_oracle(N, t) - ref) <= 1e-10 * ref
+
+
+def _cos_moments(m, n):
+    """int_{-1}^{1} T_j(x) cos(w (1+x)) dx, j = 0..n, w = m pi/2, by the
+    Jacobi-Anger series e^{iwx} = sum_k eps_k i^k J_k(w) T_k(x) and the closed
+    form of int T_j T_k."""
+    from scipy.special import jv
+
+    w = m * math.pi / 2.0
+    k = np.arange(int(w) + 80)
+    coef = np.where(k == 0, 1.0, 2.0) * 1j ** k * jv(k, w)
+
+    def int_t(order):
+        order = np.abs(order)
+        return 2.0 / (1.0 - np.where(order % 2 == 0, order, 0.5) ** 2) * (order % 2 == 0)
+
+    j = np.arange(n + 1)[:, None]
+    return (np.exp(1j * w) * (0.5 * (int_t(j + k) + int_t(j - k)) @ coef)).real
+
+
+@pytest.mark.parametrize("m", [2 ** e for e in range(11)])
+def test_sin2_weights_integrate_chebyshev_times_sin2_exactly(m):
+    # W_0 = sin^2((1+x) m pi/4) = (1 - cos(m pi (1+x)/2))/2 on a panel that
+    # starts on an even half period, W_1 = cos^2 on an odd one; the 33-node
+    # rule is exact for T_j W_p to j = 32, the nested 17-node one to j = 16
+    w = q._sin2_weights(m)
+    j = np.arange(33)
+    T = np.cos(np.outer(j, np.arccos(q._CC_X)))
+    one = np.where(j % 2 == 0, 2.0 / (1.0 - np.where(j % 2 == 0, j, 0.5) ** 2), 0.0)
+    cos_part = _cos_moments(m, 32)
+    for p, sign in ((0, -1.0), (1, 1.0)):
+        ref = 0.5 * (one + sign * cos_part)
+        assert np.max(np.abs(T @ w[p, :, 0] - ref)) <= 1e-14
+        w17 = w[p, :, 0] - w[p, :, 1]
+        assert not w17[1::2].any()
+        assert np.max(np.abs(T[:17] @ w17 - ref[:17])) <= 1e-14
+
+
+_ORACLE_CASES = [
+    *((N, t) for N in (3, 4, 5, 6) for t in (N / 2.0 + 1.01, 10.0, 1e2, 1e3, 1e4, 1e6, 1e8,
+                                             1e10, 1e12)),
+    *((N, t) for N in (20, 50, 100) for t in (N / 2.0 + 1.01, N / 2.0 + 2.0)),
+    *((200, t) for t in (101.5, 103.0, 3455.11, 3700.0)),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("N, t", _ORACLE_CASES)
+def test_oracle_certifies_from_the_threshold_to_1e12(N, t):
+    assert abs(q.substitution_oracle(N, t) / q.optimality_integral(N, t) - 1.0) <= 1e-12
+
+
+def test_oracle_costs_at_most_1650_evals_per_time(monkeypatch):
+    # one panel pass of 23 to 49 panels of 33 nodes: m grows with sqrt(t)
+    # until it reaches 1024 at t = 4.1e7, so the panel count tracks only the
+    # cut's sqrt(log t) up to there
+    passes = _sin2_spy(monkeypatch)
+    for t in q.geom_points(1e2, 1e8, 121):
+        passes.clear()
+        q.substitution_oracle(3, t)
+        assert len(passes) == 1 and 33 * passes[0][1] <= 1650, t
+
+
+@pytest.mark.parametrize("N", [3, 4, 200])
+def test_oracle_array_call_equals_per_time_calls(N):
+    times = N / 2.0 + np.array([1.01, 4.0, 40.0, 150.0, 1e3, 3e3])
+    values = q.substitution_oracle(N, times)
+    assert isinstance(values, np.ndarray) and values.shape == times.shape
+    scalars = [q.substitution_oracle(N, float(t)) for t in times]
+    assert all(isinstance(v, float) for v in scalars)
+    assert values.tolist() == scalars
+
+
+def test_oracle_halves_its_panels_then_refuses(monkeypatch):
+    # a target no panel set can meet: m halves from its first value down to
+    # one half period per panel, then the oracle names N and t
+    monkeypatch.setattr(q, "_CMP_TOL", 1e-30)
+    passes = _sin2_spy(monkeypatch)
+    with pytest.raises(q.NonConvergence, match=r"^substitution oracle at N=3, t=10000: error "):
+        q.substitution_oracle(3, 1e4)
+    assert [m for m, _ in passes] == [8, 4, 2, 1]
 
 
 @pytest.mark.parametrize("N", [3, 4, 6, 200])
@@ -670,6 +773,13 @@ def test_skipping_leg_two_moves_no_value(N, monkeypatch):
     monkeypatch.setattr(q, "_leg_two_bound", lambda N, times: 1e30 * bound(N, times))
     forced = q.optimality_integral(N, times)
     assert np.max(np.abs(forced - values) / values) <= 1e-14
+
+
+def test_log_beta_array_equals_scalar_calls():
+    # b below and above 10: the lgamma branch and the Stirling one
+    for a in (1.5, 2.0, 100.0):
+        b = np.array([0.7, 2.5, 9.99, 10.0, 10.01, 97.3, 3e4, 1e15])
+        assert q.log_beta(a, b).tolist() == [q.log_beta(a, float(x)) for x in b]
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 10, 50, 200])
