@@ -14,6 +14,7 @@ Profiles are immutable; all evaluation is pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -93,10 +94,14 @@ def _weighted_radial_norm(u_abs: Callable, N: int, r_hi: float,
 
 def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
     """Build a catalog profile: zero, gaussian(a), zero_mean_pair, or
-    shifted_gaussian(offset)."""
+    shifted_gaussian(offset), each parameter a finite number."""
     if N < 3:
         raise ValueError("requires N >= 3")
     kind = kind.strip().lower()
+    params = {key: float(value) for key, value in params.items()}
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{kind} parameter {key}={value} is not a finite number")
 
     if kind == "zero":
         if params:
@@ -107,7 +112,7 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
         )
 
     if kind == "gaussian":
-        a = float(params.pop("a", 1.0))
+        a = params.pop("a", 1.0)
         if params:
             raise ValueError(f"unknown gaussian parameters: {sorted(params)}")
         if a <= 0:
@@ -124,6 +129,10 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
     if kind == "zero_mean_pair":
         if params:
             raise ValueError(f"unknown zero_mean_pair parameters: {sorted(params)}")
+        r_hi = 14.0  # the norms' cut: the datum is about e^{-196} there
+        if N * math.log(r_hi) > math.log(sys.float_info.max):
+            raise ValueError(f"zero_mean_pair at N={N}: the quadrature of its L^{{1,1}} "
+                             f"norm forms r^N, which overflows a float at r = {r_hi:g}")
         amp = math.pi ** (N / 2.0)
 
         def hat_z(z, amp=amp):
@@ -135,14 +144,14 @@ def make_profile(kind: str, N: int = 3, **params) -> DataProfile:
             return np.abs(np.exp(-r * r) - 2.0 ** (N / 2.0) * np.exp(-2.0 * r * r))
 
         r_star = math.sqrt(0.5 * N * math.log(2.0))  # sign change of the datum
-        l1, first_moment = _weighted_radial_norm(u_abs, N, 14.0, breakpoints=[r_star])
+        l1, first_moment = _weighted_radial_norm(u_abs, N, r_hi, breakpoints=[r_star])
         return DataProfile(
             kind="zero_mean_pair", N=N, params=(), P1=0.0, l11=l1 + first_moment,
             hat_z=hat_z, envelope=(amp, 1.0 / 8.0),
         )
 
     if kind == "shifted_gaussian":
-        c = float(params.pop("offset", 1.0))
+        c = params.pop("offset", 1.0)
         if params:
             raise ValueError(f"unknown shifted_gaussian parameters: {sorted(params)}")
         if c < 0:

@@ -25,12 +25,11 @@ Oscillatory integrands are handled by seeding panel edges where the known
 phase crosses a multiple of pi/2 (half a period of sin^2), never by letting
 the bisection discover the oscillation on its own (which can alias silently).
 With 15 nodes per half period and K15 exact to degree 23, a seed panel holds
-too little of the oscillation to hide it from |K15 - G7|.  The oracle alone
-moves its sin^2(t y) into the weights, a Filon-type rule (Filon 1928;
-Iserles & Norsett, Proc. R. Soc. A 2005): 33 Chebyshev–Lobatto nodes per
-panel of m half periods, m growing like sqrt(t) up to 1024, so at N = 3 a
-time costs at most 1,617 evals up to t = 1e8, and its 60,000-panel wall sits
-near t = 2e14.
+too little of the oscillation to hide it from |K15 - G7|.  The oracle and
+F_N(t) move their sin^2 and cos^2 into the weights, a Filon-type rule (Filon
+1928; Iserles & Norsett, Proc. R. Soc. A 2005): 33 Chebyshev–Lobatto nodes
+per panel of m half periods, m growing like sqrt(t) up to 1024: at N = 3 an
+oracle time costs at most 1,617 evals up to t = 1e8, and its wall is near 2e14.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ _LEG_TWO_TOL = 1e-3 * _CMP_TOL
 _FIRST_CUT = 0.01
 
 # Oscillatory integrands get panel edges where their phase crosses a multiple
-# of this step: half a period of sin^2 and of cos^2, a quarter period of sin.
+# of this step: half a period of sin^2, a quarter period of sin.
 _PHASE_STEP = math.pi / 2.0
 
 
@@ -331,8 +330,6 @@ def log_radius(x: float) -> float:
 def _phase_points(w: float, x_lo: float, x_hi: float) -> np.ndarray:
     """The points x > 0 of [x_lo, x_hi] where the phase w*x is a multiple of
     _PHASE_STEP: the one phase grid of this module."""
-    if not w > 0 or x_hi <= x_lo:
-        return np.empty(0)
     k_lo = max(int(math.ceil(w * x_lo / _PHASE_STEP)), 1)
     k_hi = int(math.floor(w * x_hi / _PHASE_STEP))
     return np.arange(k_lo, k_hi + 1, dtype=float) * _PHASE_STEP / w
@@ -622,13 +619,9 @@ def substitution_oracle(N: int, t):
     mean half, rounded up to whole panels.  h is one exp, since at large N the
     power overflows where the Gaussian underflows; it is written out here,
     not taken from :func:`_log_g`, so that the check shares no code with the
-    contour.  sin^2 goes into the weights (:func:`_sin2_panels`), so the
-    panels resolve only h: m half periods each, m the largest power of two up
-    to 1024 with m pi/2 <= sqrt(t)/4 in u = t y, where h varies on the scale
-    sqrt(t).  A time whose summed |I33 - I17| misses _CMP_TOL of its value is
-    taken again at m/2, down to m = 1.  Raises NonConvergence, naming N and
-    t, past that or past _SIN2_MAX_PANELS panels, and ValueError when a
-    value underflows a float.
+    contour.  sin^2 goes into the weights of :func:`_sin2_head`, whose panels
+    resolve only h.  Raises NonConvergence, naming N and t, where they miss
+    _CMP_TOL, and ValueError when a value underflows a float.
     """
     times = _comparison_times(N, t)
     integral = np.array([_oracle_integral(N, float(T), float(s))
@@ -638,44 +631,51 @@ def substitution_oracle(N: int, t):
 
 
 def _oracle_integral(N: int, t: float, log_scale: float) -> float:
-    """The oracle's integral over omega_N at one time, its first cut sized by
-    log_scale."""
+    """The oracle's integral over omega_N at one time, first cut by log_scale."""
     beta = 0.5 * (N - 2)
-    m = 1 << min(max(int(math.log2(math.sqrt(t) / (2.0 * math.pi))), 0), 10)
 
     def h(y):
         z = y * y
         with np.errstate(divide="ignore"):  # log 0 at y = 0, where h is 0
             return y * np.exp((1.0 - t) * z + beta * np.log(np.expm1(z)))
 
-    def head(y_cut, r_hi):
-        nonlocal m
-        while True:
-            dy = 0.5 * math.pi * m / t
-            panels = math.ceil(y_cut / dy)
-            if panels > _SIN2_MAX_PANELS:
-                raise NonConvergence(f"substitution oracle at N={N}, t={t:g}: {panels} "
-                                     f"panels exceed budget {_SIN2_MAX_PANELS}")
-            value, err = _sin2_panels(h, dy, m, panels)
-            if err <= _CMP_TOL * abs(value):
-                return value
-            if m == 1:
-                raise NonConvergence(f"substitution oracle at N={N}, t={t:g}: error "
-                                     f"{err:.3e} > target {_CMP_TOL * abs(value):.3e} "
-                                     f"at one half period per panel")
-            m //= 2
-
+    head = _sin2_head("substitution oracle", N, t, h, t, _CMP_TOL)
     return _tail_cut(f"substitution oracle (N={N})", N, t, _CMP_TOL, head, log_scale)
 
 
-def _sin2_panels(f: Callable, dy: float, m: int, panels: int):
-    """int_0^{panels dy} f(y) sin^2(t y) dy at t = m pi / (2 dy), and its
-    error estimate: the sums over panels of I33 and of |I33 - I17|, each
-    panel m half periods of sin^2 long and weighted by :func:`_sin2_weights`."""
+def _sin2_head(name, N, t, f, w, rel_tol, shift=0) -> Callable:
+    """head(y_cut, r_hi=None) = int_0^{y_cut} f(y) sin^2(w y + shift pi/2) dy on panels
+    of m half periods, the last past y_cut, m the largest power of two <= 1024 with
+    m pi/2 <= sqrt(t)/4 (f varies on that scale), halved while sum |I33 - I17| > rel_tol."""
+    m = 1 << min(max(int(math.log2(math.sqrt(t) / (2.0 * math.pi))), 0), 10)
+
+    def head(y_cut, r_hi=None):
+        nonlocal m
+        while True:
+            dy = 0.5 * math.pi * m / w
+            panels = math.ceil(y_cut / dy)
+            if panels > _SIN2_MAX_PANELS:
+                raise NonConvergence(f"{name} at N={N}, t={t:g}: {panels} panels exceed "
+                                     f"budget {_SIN2_MAX_PANELS}")
+            value, err = _sin2_panels(f, dy, m, panels, shift)
+            if err <= rel_tol * abs(value):
+                return value
+            if m == 1:
+                raise NonConvergence(f"{name} at N={N}, t={t:g}: error {err:.3e} > target "
+                                     f"{rel_tol * abs(value):.3e} at one half period per panel")
+            m //= 2
+
+    return head
+
+
+def _sin2_panels(f: Callable, dy: float, m: int, panels: int, shift: int = 0):
+    """int_0^{panels dy} f(y) sin^2(w y + shift pi/2) dy at w = m pi / (2 dy), and
+    its error estimate: the sums over panels of I33 and of |I33 - I17|, each
+    panel m half periods long and weighted by :func:`_sin2_weights`."""
     w = _sin2_weights(m)
     fy = f((np.arange(panels)[:, None] + 0.5 * (1.0 + _CC_X)) * dy)
-    # a panel starting on an odd half period sees cos^2, only when m is odd
-    sums = np.concatenate([fy[0::2] @ w[0], fy[1::2] @ w[m % 2]])
+    # panel k starts at k m + shift half periods, and sees cos^2 where that is odd
+    sums = np.concatenate([fy[0::2] @ w[shift], fy[1::2] @ w[(m + shift) % 2]])
     return 0.5 * dy * float(sums[:, 0].sum()), 0.5 * dy * float(np.abs(sums[:, 1]).sum())
 
 
@@ -729,12 +729,16 @@ def _chebyshev(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _gauss_moment_cut(N: int) -> float:
-    # smallest Y in a short ladder with tail int_Y^inf y^{N-1} e^{-y^2} dy
-    # <= Y^{N-2} e^{-Y^2} <= 1e-13, a tenth of f_osc's tol (valid once Y^2 >= N-1)
+    # the tail int_Y^inf y^{N-1} e^{-y^2} dy <= Y^{N-2} e^{-Y^2} once Y^2 >= N-1,
+    # held to 1e-13 max(1, A_N) in logs: the first Y of a short ladder with tail
+    # <= 1e-13, a tenth of A_N's tol 1e-12, else the first of 14, 16, ...
     for Y in (6.0, 7.0, 8.0, 9.0, 10.0, 12.0):
-        if Y * Y >= N - 1 and Y ** max(N - 2, 0) * math.exp(-Y * Y) <= 1e-12 / 10.0:
+        if Y * Y >= N - 1 and (N - 2) * math.log(Y) - Y * Y <= math.log(1e-13):
             return Y
-    return 14.0
+    Y, log_bound = 14.0, math.log(1e-13) + max(0.0, math.lgamma(0.5 * N) - math.log(2.0))
+    while Y * Y < N - 1 or (N - 2) * math.log(Y) - Y * Y > log_bound:
+        Y += 2.0
+    return Y
 
 
 def a_const(N: int) -> float:
@@ -745,22 +749,23 @@ def a_const(N: int) -> float:
 
 
 def f_osc(N: int, t: float) -> float:
-    """F_N(t) = int_0^inf e^{-y^2} cos^2(sqrt(t) y) y^{N-1} dy, to 1e-12 absolute.
+    """F_N(t) = int_0^inf e^{-y^2} cos^2(sqrt(t) y) y^{N-1} dy, to 1e-13 relative.
 
     Tends to A_N / 2: the mean of cos^2 survives, the oscillatory half washes
-    out.  Panels are kept to half a period of cos^2(sqrt(t) y).
-    """
+    out.  F_N(0) = A_N by K15; for t > 0 cos^2 goes into the oracle's weights
+    (:func:`_sin2_head`), which refuse below about t = 0.9 (N = 3) to 1.25
+    (N >= 10), where half a period outgrows the envelope."""
     if N < 3:
         raise ValueError("requires N >= 3")
     if t < 0:
         raise ValueError("requires t >= 0")
     Y = _gauss_moment_cut(N)
 
-    w = math.sqrt(t)
-
     def g(y):
-        return np.exp(-y * y) * np.cos(w * y) ** 2 * np.power(y, N - 1)
+        with np.errstate(divide="ignore"):  # log 0 at y = 0, where g is 0
+            return np.exp((N - 1) * np.log(y) - y * y)
 
-    seeds = np.concatenate([np.linspace(0.0, Y, 16)[1:-1], _phase_points(w, 0.0, Y)])
-    res = integrate(g, 0.0, Y, tol=1e-12, rel_tol=1e-13, breakpoints=seeds)
-    return res.value
+    if t == 0:
+        return integrate(g, 0.0, Y, tol=1e-12, rel_tol=1e-13,
+                         breakpoints=np.linspace(0.0, Y, 16)[1:-1]).value
+    return _sin2_head("F_N", N, t, g, math.sqrt(t), 1e-13, shift=1)(Y)

@@ -47,12 +47,29 @@ def test_bad_mode_and_bad_profile(tmp_path):
           "(1.02e-309 < 2.23e-308)", "profile"),
     (200, "low-band profile error at N=200, t=2000 underflows a float (0 < 2.23e-308)",
      "profile --t-hi 2000"),
+    # the L^{1,1} norm's r^N overflows at r = 14 from N = 269: refused before
+    # any quadrature, with no RuntimeWarning
+    (300, "u1: zero_mean_pair at N=300: the quadrature of its L^{1,1} norm forms r^N, "
+          "which overflows a float at r = 14", "decay --u1 zero_mean_pair"),
 ])
 def test_large_n_refusal_names_its_cause(tmp_path, n, cause, command):
     out = tmp_path / "out"
     res = _invoke([*command.split(), "--n", str(n), "--out", str(out)])
     assert res.exit_code == 1
     assert f"config error: {cause}\n" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("datum", ["gaussian:a=nan", "gaussian:a=inf",
+                                   "shifted_gaussian:offset=nan"])
+def test_non_finite_datum_parameter_is_config_error(tmp_path, datum):
+    # unrefused, they run into a non-finite integrand, a zero datum's power
+    # fit, or a report labelled offset=nan with exit 0
+    out = tmp_path / "out"
+    res = _invoke(["decay", "--u1", datum, "--out", str(out)])
+    kind, _, param = datum.partition(":")
+    assert res.exit_code == 1
+    assert res.output == f"config error: u1: {kind} parameter {param} is not a finite number\n"
     assert not out.exists()
 
 

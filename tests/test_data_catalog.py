@@ -121,6 +121,14 @@ def test_make_profile_validation():
         cat.make_profile("plane_wave", N=3)
 
 
+@pytest.mark.parametrize("kind, key", [("gaussian", "a"), ("shifted_gaussian", "offset")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_make_profile_refuses_non_finite_parameters(kind, key, value):
+    # a <= 0 and offset < 0 are both false for NaN, and inf passes a > 0
+    with pytest.raises(ValueError, match=rf"^{kind} parameter {key}={value} is not a finite number$"):
+        cat.make_profile(kind, N=3, **{key: value})
+
+
 def test_parse_profile():
     p = cat.parse_profile("gaussian:a=2", N=3)
     assert p.kind == "gaussian" and dict(p.params)["a"] == 2.0

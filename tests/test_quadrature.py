@@ -450,9 +450,9 @@ def _sin2_spy(monkeypatch):
     passes = []
     panels = q._sin2_panels
 
-    def spy(f, dy, m, n):
+    def spy(f, dy, m, n, shift=0):
         passes.append((m, n))
-        return panels(f, dy, m, n)
+        return panels(f, dy, m, n, shift)
 
     monkeypatch.setattr(q, "_sin2_panels", spy)
     return passes
@@ -840,3 +840,58 @@ def test_f_osc_limits():
     assert abs(q.f_osc(3, 0.0) - a3) < 1e-10
     # the oscillatory half washes out for large t
     assert abs(q.f_osc(3, 1e4) - 0.5 * a3) < 5e-3
+
+
+def _f_osc_closed_form(N, t):
+    """Gamma(N/2)/4 (1 + 1F1(N/2; 1/2; -t)) in 40 digits: cos^2 = (1 + cos 2u)/2
+    and the Gaussian cosine moment (DLMF 13.7)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a = mpmath.mpf(N) / 2
+        return mpmath.gamma(a) / 4 * (1 + mpmath.hyp1f1(a, 0.5, -mpmath.mpf(t)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 10, 20, 50, 250])
+def test_f_osc_matches_its_closed_form_to_1e12(N):
+    # the weighted panels certify F_N from t = 3 up to 1e12, far past where
+    # K15 panels at every half period would exceed the 60,000-panel budget
+    # (t = 2.5e8 at N = 3); at N = 250 the cut must lie past the peak
+    for t in (3.0, 10.0, 1e2, 1e3, 1e4, 1e6, 1e8, 1e10, 1e12):
+        want = _f_osc_closed_form(N, t)
+        assert abs(q.f_osc(N, t) / want - 1) <= 1e-13, t
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 10, 50, 250])
+def test_f_osc_at_zero_is_a_const(N):
+    assert q.f_osc(N, 0.0) == q.a_const(N)
+
+
+@pytest.mark.parametrize("N, t", [(3, 0.5), (10, 1.0), (50, 0.1)])
+def test_f_osc_refuses_below_one_half_period_per_envelope(N, t):
+    # one half period of cos^2 per panel is wider than e^{-y^2} y^{N-1} here
+    with pytest.raises(q.NonConvergence,
+                       match=rf"^F_N at N={N}, t={t:g}: error .* at one half period per panel"):
+        q.f_osc(N, t)
+
+
+def test_f_osc_halves_its_panels_then_refuses(monkeypatch):
+    # the oracle's loop: an error estimate no panel set can meet halves m from
+    # its first value at t = 1e4 down to one half period per panel, then F_N
+    # names N and t
+    passes = _sin2_spy(monkeypatch)
+    panels = q._sin2_panels
+    monkeypatch.setattr(q, "_sin2_panels", lambda *args: (panels(*args)[0], math.inf))
+    with pytest.raises(q.NonConvergence, match=r"^F_N at N=3, t=10000: error inf > target "):
+        q.f_osc(3, 1e4)
+    assert [m for m, _ in passes] == [8, 4, 2, 1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("N", range(3, 281))
+def test_a_const_is_gamma_half_to_1e13(N):
+    # the cut is relative to A_N, so it moves past the moment's peak
+    # sqrt((N-1)/2) at large N; the integrand is one exp, so y^{N-1} never
+    # overflows on its own (it would from N = 270 at y = 14)
+    assert abs(q.a_const(N) / (0.5 * math.gamma(0.5 * N)) - 1) <= 1e-13
