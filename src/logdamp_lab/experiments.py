@@ -216,8 +216,14 @@ def _spectral_quadratic(p0, p1, N, t, mode, wu=None, wv=None, rel_tol=1e-9, lo=0
     t_max = t.max(initial=0.0)
     peak_seed = 0.03 * math.sqrt((N - 1) / (2.0 * t_max)) if t_max > 0 else math.inf
     seeds = quadrature.geom_points(max(lo, min(hi * 1e-5, peak_seed)), hi, 32)
-    res = quadrature.integrate(_quadratic_density(p0.hat_z, p1.hat_z, N, t, mode, wu, wv),
-                               lo, hi, tol=1e-300, rel_tol=rel_tol, breakpoints=seeds)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            res = quadrature.integrate(_quadratic_density(p0.hat_z, p1.hat_z, N, t, mode,
+                                                          wu, wv),
+                                       lo, hi, tol=1e-300, rel_tol=rel_tol, breakpoints=seeds)
+    except FloatingPointError as exc:
+        raise ValueError(f"trace density at N={N}: its factors leave the float range "
+                         f"before e^(-Lt) ({exc})") from None
     return _trace_norm(N) * res.value
 
 

@@ -3,23 +3,23 @@
 Everything here integrates real-valued radial functions.  The workhorse is
 :func:`integrate`, an adaptive panel scheme with the 7-point Gauss rule
 embedded in the 15-point Kronrod rule (QUADPACK's qk15: 15 evals per panel,
-one integrand call and one matrix product, the K15 value and |K15 - G7| as
-its error): panels are bisected greedily, worst error first, until the
-summed panel-error estimate meets the tolerance.  An integrand may also return m values per abscissa, an
-(n, m) array: all m components then share one panel tree (the rule of
-scipy's quad_vec), each is held to its own target, and a panel is bisected
-while any component misses its target.  On top of it sit the model integrals
-I_p / J_p, the sin^2 comparison integral with its substitution oracle and
-the Gaussian moments A_N / F_N(t); :func:`log_beta` gives their sum
-I_p + J_p = B((p+1)/2, t-(p+1)/2)/2 in closed form.  The comparison integral
-is taken by steepest descent (:func:`optimality_integral`): its mean half is
-that Beta function, and its cosine half moves onto a path through the saddle
-of e^{-t y^2 + 2ity}, where it no longer oscillates at the frequency t; the
-substitution oracle stays on the real axis as its independent check.  One
-loop, :func:`_tail_cut`, cuts the improper tails of J_p, of the oracle and of
-the contour's second leg: its first cut is sized by an estimate of the value,
-and it certifies a cut with a bound factor e^{-(t-N/2) y^2} / (2(t-N/2)) or
-refuses with TailNotBounded.
+one integrand call and one matrix product, the K15 value and |K15 - G7| as its
+error) and one greedy loop: the m values an integrand returns per abscissa
+share one panel tree (the rule of scipy's quad_vec), each is held to its own
+target, and the panel worst over its component's target is bisected until
+every target is met.  A scalar is the case m = 1, worst error first
+(QUADPACK's qag); _MAX_PANELS is the module's one panel budget.  On top of it
+sit the model integrals I_p / J_p, the sin^2 comparison integral with its
+substitution oracle and the Gaussian moments A_N / F_N(t); :func:`log_beta`
+gives their sum I_p + J_p = B((p+1)/2, t-(p+1)/2)/2 in closed form.  The
+comparison integral is taken by steepest descent
+(:func:`optimality_integral`): its mean half is that Beta function, and its
+cosine half moves onto a path through the saddle of e^{-t y^2 + 2ity}, where
+it no longer oscillates at the frequency t; the substitution oracle stays on
+the real axis as its independent check.  One loop, :func:`_tail_cut`, cuts the
+improper tails of J_p, of the oracle and of the contour's second leg: its
+first cut is sized by an estimate of the value, and it certifies a cut with a
+bound factor e^{-(t-N/2) y^2} / (2(t-N/2)) or refuses with TailNotBounded.
 
 Oscillatory integrands are handled by seeding panel edges where the known
 phase crosses a multiple of pi/2 (half a period of sin^2), never by letting
@@ -90,10 +90,9 @@ _G7_W = np.concatenate([_WG[:-1], _WG[::-1]])
 _KG_W = np.stack([_K15_W, _K15_W], axis=1)
 _KG_W[1::2, 1] -= _G7_W
 
-# the substitution oracle's 33 Chebyshev–Lobatto nodes on [-1, 1], ascending,
-# and its panel budget
+# the substitution oracle's 33 Chebyshev–Lobatto nodes on [-1, 1], ascending
 _CC_X = -np.cos(np.arange(33) * math.pi / 32.0)
-_SIN2_MAX_PANELS = 60_000
+_MAX_PANELS = 60_000  # per integrate call and per _sin2_head pass
 
 _CMP_TOL = 1e-10  # relative tolerance of both routes to the comparison integral
 # leg 2 of the contour route costs a few hundred evals where it is taken at
@@ -190,26 +189,25 @@ def integrate(
     *,
     rel_tol: float = 0.0,
     breakpoints: Sequence[float] | None = None,
-    max_panels: int = 60_000,
 ) -> QuadResult:
     """Adaptively integrate f over [a, b].
 
     f must be vectorised: it is called only with a 1-d float array of n
     abscissae and must return real values of shape (n,), or (n, m) for m
-    integrands at once.  Each component j is done when its summed error
-    estimate is at most max(tol, rel_tol * |total_j|); the run stops when
-    every component is done.  Until then the panel with the largest
-    err_j / scale_j over j is bisected, scale being the targets of the seed
-    pass (for a scalar integrand that is plain worst-error-first).  A seed
-    pass that already meets every target returns at once.  A scalar f gets
-    float value and error; an (n, m) one gets (m,) arrays.  An empty
+    integrands at once; (n,) is the case m = 1.  Each component j is done
+    when its summed error estimate is at most max(tol, rel_tol * |total_j|);
+    the run stops when every component is done.  Until then the panel with
+    the largest err_j / scale_j over j is bisected, scale being the seed
+    pass's targets over their largest (for m = 1, worst error first).  A
+    seed pass that already meets every target returns at once.  A scalar f
+    gets float value and error; an (n, m) one gets (m,) arrays.  An empty
     interval returns 0.0 without calling f.
 
     `breakpoints` pre-seeds panel edges (any shape, flattened, deduplicated,
     clipped to (a, b), NaNs dropped); use them whenever the integrand
-    oscillates on a known scale.  Raises NonConvergence if the panel budget
-    runs out first, or at once when the integrand turns non-finite;
-    ValueError when f returns another shape.
+    oscillates on a known scale.  Raises NonConvergence if the module's
+    _MAX_PANELS budget runs out first, or at once when the integrand turns
+    non-finite; ValueError when f returns another shape.
     """
     if not (tol > 0.0) and not (rel_tol > 0.0):
         raise ValueError("need a positive tol or rel_tol")
@@ -226,99 +224,58 @@ def integrate(
     edges = np.unique(np.asarray(edges, dtype=float))
 
     lo, hi = edges[:-1], edges[1:]
-    if len(lo) > max_panels:
+    if len(lo) > _MAX_PANELS:
         raise NonConvergence(f"{len(lo)} seed panels on [{a}, {b}] exceed budget "
-                             f"{max_panels}")
+                             f"{_MAX_PANELS}")
+    # (P,) panel values for a scalar f, (m, P) for m components: the totals
+    # are a numpy scalar or an (m,) array, and a heap entry holds vals[..., i]
     vals, errs = _panel_values(f, lo, hi)
+    scalar = vals.ndim == 1
     evals = 15 * len(lo)
-    # Scalars keep their own loop.  Routed through _integrate_components they
-    # give the same bits but run slower (one Intel Xeon core): exp(-x^2) on
-    # [0, 3] with no bisection 72 -> 98 us, sqrt on [0, 1] at rel_tol 1e-13
-    # (23 bisections) 0.54 -> 0.97 ms.  Per seed-0 pass the benchmark's
-    # pipeline-default / comparison-large-t / traces-mixed-data make 148 / 126
-    # / 206 scalar calls (38 / 0 / 78 bisections) and 14 / 1 / 40 vector ones
-    # (none); traces-mixed-data's set-up adds 12 scalar calls (99 bisections),
-    # 3.2 -> 4.9 ms routed (best of 30, 2-vCPU Xeon VM).
-    if vals.ndim == 2:
-        return _integrate_components(f, a, b, tol, rel_tol, max_panels,
-                                     lo, hi, vals, errs, evals)
-
-    total = float(vals.sum())
-    total_err = float(errs.sum())
+    total, total_err = vals.sum(axis=-1), errs.sum(axis=-1)
     heap = None
     n_panels = len(lo)
 
     while True:
-        if not math.isfinite(total_err):
-            raise NonConvergence(f"non-finite integrand on [{a}, {b}]: error {total_err}")
-        target = max(tol, rel_tol * abs(total))
-        if total_err <= target:
+        # all(x.flat), not x.all(): the method is slow on a numpy scalar
+        if not all(np.isfinite(total_err).flat):
+            err = np.atleast_1d(total_err)
+            raise NonConvergence(f"non-finite integrand on [{a}, {b}]: "
+                                 f"error {err[~np.isfinite(err)][0]}")
+        target = np.maximum(tol, rel_tol * abs(total))
+        if all((total_err <= target).flat):
+            if scalar:
+                return QuadResult(float(total), float(total_err), evals)
             return QuadResult(total, total_err, evals)
-        if n_panels + 1 > max_panels:
-            raise NonConvergence(f"error {total_err:.3e} > target {target:.3e} on "
-                                 f"[{a}, {b}] after {n_panels} panels")
+        if n_panels + 1 > _MAX_PANELS:
+            j = int(np.argmax(total_err / target))
+            which = "" if scalar else f"component {j}: "
+            raise NonConvergence(f"{which}error {np.atleast_1d(total_err)[j]:.3e} > target "
+                                 f"{np.atleast_1d(target)[j]:.3e} on [{a}, {b}] after "
+                                 f"{n_panels} panels")
         if heap is None:
-            heap = [(-errs[i], i, lo[i], hi[i], vals[i]) for i in range(len(lo))]
+            # scaled so that for m = 1 a panel's key is its raw error
+            scale = np.maximum(target / target.max(initial=sys.float_info.min),
+                               sys.float_info.min).reshape(-1, 1)
+            heap = list(zip((-(errs / scale).max(axis=0)).tolist(), range(len(lo)),
+                            lo.tolist(), hi.tolist(), vals.T, errs.T))
             heapq.heapify(heap)
-            counter = len(lo)
-        neg_err, _, pa, pb, pval = heapq.heappop(heap)
+        neg_key, _, pa, pb, pval, perr = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
         if pm <= pa or pm >= pb:
             # worst panel already at floating-point resolution: no further
             # refinement can reduce the dominant error term
-            raise NonConvergence(f"panel [{pa}, {pb}] of [{a}, {b}] at machine "
-                                 f"resolution with error {-neg_err:.3e}")
-        l2, h2 = np.array([pa, pm]), np.array([pm, pb])
-        v2, e2 = _panel_values(f, l2, h2)
+            raise NonConvergence(f"panel [{pa}, {pb}] of [{a}, {b}] at machine resolution "
+                                 f"with {'' if scalar else 'scaled '}error {-neg_key:.3e}")
+        v2, e2 = _panel_values(f, np.array([pa, pm]), np.array([pm, pb]))
         evals += 30
-        total += float(v2.sum() - pval)
-        total_err += float(e2.sum()) - (-neg_err)
-        for i in range(2):
-            heapq.heappush(heap, (-e2[i], counter, l2[i], h2[i], v2[i]))
-            counter += 1
-        n_panels += 1
-
-
-def _integrate_components(f, a, b, tol, rel_tol, max_panels, lo, hi, vals, errs,
-                          evals) -> QuadResult:
-    """The loop of :func:`integrate` for (m, P) panel values: one panel tree,
-    a target per component, bisection by the largest scaled error."""
-    total, total_err = vals.sum(axis=1), errs.sum(axis=1)
-    scale = np.maximum(np.maximum(tol, rel_tol * np.abs(total)), sys.float_info.min)
-    heap = None
-    n_panels = len(lo)
-
-    while True:
-        if not np.all(np.isfinite(total_err)):
-            raise NonConvergence(f"non-finite integrand on [{a}, {b}]: "
-                                 f"error {total_err[~np.isfinite(total_err)][0]}")
-        target = np.maximum(tol, rel_tol * np.abs(total))
-        if np.all(total_err <= target):
-            return QuadResult(total, total_err, evals)
-        if n_panels + 1 > max_panels:
-            j = int(np.argmax(total_err / target))
-            raise NonConvergence(f"component {j}: error {total_err[j]:.3e} > target "
-                                 f"{target[j]:.3e} on [{a}, {b}] after {n_panels} panels")
-        if heap is None:
-            key = (errs / scale[:, None]).max(axis=0)
-            heap = [(-key[i], i, lo[i], hi[i], vals[:, i], errs[:, i])
-                    for i in range(len(lo))]
-            heapq.heapify(heap)
-            counter = len(lo)
-        neg_key, _, pa, pb, pval, perr = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        if pm <= pa or pm >= pb:
-            raise NonConvergence(f"panel [{pa}, {pb}] of [{a}, {b}] at machine "
-                                 f"resolution with scaled error {-neg_key:.3e}")
-        l2, h2 = np.array([pa, pm]), np.array([pm, pb])
-        v2, e2 = _panel_values(f, l2, h2)
-        evals += 30
-        total = total + (v2.sum(axis=1) - pval)
-        total_err = total_err + (e2.sum(axis=1) - perr)
-        key = (e2 / scale[:, None]).max(axis=0)
-        for i in range(2):
-            heapq.heappush(heap, (-key[i], counter, l2[i], h2[i], v2[:, i], e2[:, i]))
-            counter += 1
+        total = total + (v2.sum(axis=-1) - pval)
+        total_err = total_err + (e2.sum(axis=-1) - perr)
+        k0, k1 = (e2 / scale).max(axis=0).tolist()
+        (v0, v1), (e0, e1) = v2.T, e2.T
+        # evals breaks ties: it orders the children after every earlier panel
+        heapq.heappush(heap, (-k0, evals, pa, pm, v0, e0))
+        heapq.heappush(heap, (-k1, evals + 1, pm, pb, v1, e1))
         n_panels += 1
 
 
@@ -654,9 +611,9 @@ def _sin2_head(name, N, t, f, w, rel_tol, shift=0) -> Callable:
         while True:
             dy = 0.5 * math.pi * m / w
             panels = math.ceil(y_cut / dy)
-            if panels > _SIN2_MAX_PANELS:
+            if panels > _MAX_PANELS:
                 raise NonConvergence(f"{name} at N={N}, t={t:g}: {panels} panels exceed "
-                                     f"budget {_SIN2_MAX_PANELS}")
+                                     f"budget {_MAX_PANELS}")
             value, err = _sin2_panels(f, dy, m, panels, shift)
             if err <= rel_tol * abs(value):
                 return value

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -51,6 +53,13 @@ def test_bad_mode_and_bad_profile(tmp_path):
     # any quadrature, with no RuntimeWarning
     (300, "u1: zero_mean_pair at N=300: the quadrature of its L^{1,1} norm forms r^N, "
           "which overflows a float at r = 14", "decay --u1 zero_mean_pair"),
+    # from about N = 220 the trace density's w(L) r^{N-1} times the squared
+    # coefficients overflows before e^{-Lt} can scale it down: refused by
+    # name, with no RuntimeWarning and no non-finite integrand
+    (225, "trace density at N=225: its factors leave the float range before e^(-Lt) "
+          "(overflow encountered in multiply)", "decay"),
+    (240, "trace density at N=240: its factors leave the float range before e^(-Lt) "
+          "(overflow encountered in multiply)", "decay"),
 ])
 def test_large_n_refusal_names_its_cause(tmp_path, n, cause, command):
     out = tmp_path / "out"
@@ -58,6 +67,68 @@ def test_large_n_refusal_names_its_cause(tmp_path, n, cause, command):
     assert res.exit_code == 1
     assert f"config error: {cause}\n" in res.output
     assert not out.exists()
+
+
+# The robustness matrix: decay, profile and optimality at every N and t_hi
+# below, in process.  Each cell's exit status is pinned, and a refusal by the
+# start of its message.  Exit 2 is a red check the report names (the C6
+# window in profile, the exponent windows at large N).  Left out: decay at
+# N >= 100 with t_hi >= 1e8, whose vector trace bisects to the 60,000-panel
+# budget for several seconds before it refuses (component 39: error
+# 1.452e-296 > target 1.578e-297 at N = 100), an open refusal that should
+# name the float limit at once.
+_MATRIX_N = (3, 10, 20, 50, 100, 200)
+_MATRIX_T_HI = (1e4, 1e8, 1e15)
+_MATRIX_EXIT = {  # exit status per N, at each t_hi of _MATRIX_T_HI
+    "decay": {3: (0, 0, 0), 10: (0, 0, 0), 20: (0, 0, 0), 50: (2, 2, 1), 100: (2,),
+              200: (1,)},
+    "profile": {3: (2, 2, 2), 10: (2, 2, 2), 20: (2, 2, 2), 50: (2, 2, 1), 100: (2, 1, 1),
+                200: (1, 1, 1)},
+    "optimality": {3: (0, 0, 1), 10: (0, 0, 1), 20: (2, 0, 1), 50: (2, 2, 1),
+                   100: (2, 1, 1), 200: (1, 1, 1)},
+}
+_ORACLE_WALL = "quadrature could not certify this configuration: substitution oracle at "
+_MATRIX_REFUSAL = {
+    ("decay", 50, 1e15): "power fit of trace 'energy' needs positive values: 7 of 40",
+    ("decay", 200, 1e4): "power fit of trace 'energy' needs positive values: 17 of 40",
+    ("profile", 50, 1e15): "comparison integral at N=50, t=1e+13 underflows a float",
+    ("profile", 100, 1e8): "comparison integral at N=100, t=5.87802e+06 underflows a float",
+    ("profile", 100, 1e15): "comparison integral at N=100, t=4.64159e+06 underflows a float",
+    ("profile", 200, 1e4): "comparison integral at N=200, t=3888.16 underflows a float",
+    ("profile", 200, 1e8): "comparison integral at N=200, t=4923.88 underflows a float",
+    ("profile", 200, 1e15): "comparison integral at N=200, t=4641.59 underflows a float",
+    ("optimality", 3, 1e15): _ORACLE_WALL + "N=3, t=2.15443e+14: 61179 panels exceed",
+    ("optimality", 10, 1e15): _ORACLE_WALL + "N=10, t=1e+14: 77174 panels exceed",
+    ("optimality", 20, 1e15): _ORACLE_WALL + "N=20, t=4.64159e+13: 73209 panels exceed",
+    ("optimality", 50, 1e15): "normalized comparison integral at N=50, t=2.15443e+12: "
+                              "t^(N/2) overflows",
+    ("optimality", 100, 1e8): "normalized comparison integral at N=100, t=2.03092e+06: "
+                              "t^(N/2) overflows",
+    ("optimality", 100, 1e15): "normalized comparison integral at N=100, t=2.15443e+06: "
+                               "t^(N/2) overflows",
+    ("optimality", 200, 1e4): "normalized comparison integral at N=200, t=1343.4: "
+                              "t^(N/2) overflows",
+    ("optimality", 200, 1e8): "normalized comparison integral at N=200, t=1701.25: "
+                              "t^(N/2) overflows",
+    ("optimality", 200, 1e15): "normalized comparison integral at N=200, t=2154.43: "
+                               "t^(N/2) overflows",
+}
+
+
+@pytest.mark.parametrize("command, n, t_hi", [
+    (command, n, t_hi) for command, rows in _MATRIX_EXIT.items() for n in _MATRIX_N
+    for t_hi, _ in zip(_MATRIX_T_HI, rows[n])])
+def test_robustness_matrix_certifies_or_refuses_by_name(tmp_path, command, n, t_hi):
+    expected = _MATRIX_EXIT[command][n][_MATRIX_T_HI.index(t_hi)]
+    cfg = cli.build_config(command, {"n": n, "t_hi": t_hi, "out": str(tmp_path / "out")})
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, refusal = cli.run(cfg), None
+    except cli.ConfigInvalid as exc:
+        code, refusal = 1, str(exc)
+    assert code == expected, refusal
+    if code == 1:
+        assert refusal.startswith(_MATRIX_REFUSAL[command, n, t_hi])
 
 
 @pytest.mark.parametrize("datum", ["gaussian:a=nan", "gaussian:a=inf",

@@ -48,10 +48,11 @@ def test_divergent_integrand_fails_fast():
             q.integrate(lambda x: 1.0 / x, 0.0, 1.0)
 
 
-def test_nan_integrand_fails_fast():
+def test_nan_integrand_fails_fast(monkeypatch):
+    monkeypatch.setattr(q, "_MAX_PANELS", 3)
     with np.errstate(invalid="ignore"):
         with pytest.raises(q.NonConvergence, match="non-finite integrand"):
-            q.integrate(lambda x: np.sqrt(x - 0.5), 0.0, 1.0, max_panels=3)
+            q.integrate(lambda x: np.sqrt(x - 0.5), 0.0, 1.0)
 
 
 def test_empty_and_invalid_intervals():
@@ -62,9 +63,10 @@ def test_empty_and_invalid_intervals():
         q.integrate(lambda r: r, 0.0, 1.0, tol=0.0)
 
 
-def test_panel_budget_exhaustion():
+def test_panel_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(q, "_MAX_PANELS", 4)
     with pytest.raises(q.NonConvergence, match=r"on \[0.0, 10.0\] after 4 panels$"):
-        q.integrate(lambda r: np.sin(50.0 * r), 0.0, 10.0, tol=1e-15, max_panels=4)
+        q.integrate(lambda r: np.sin(50.0 * r), 0.0, 10.0, tol=1e-15)
 
 
 def test_breakpoints_respected():
@@ -118,15 +120,17 @@ def test_comparison_routes_meet_their_target_on_the_phase_seeds(N, t, monkeypatc
     assert all(evals == 15 * seeds for evals, seeds in calls)
 
 
-def test_non_convergence_names_the_interval():
+def test_non_convergence_names_the_interval(monkeypatch):
+    monkeypatch.setattr(q, "_MAX_PANELS", 5)
     with pytest.raises(q.NonConvergence,
                        match=r"^10 seed panels on \[0.0, 1.0\] exceed budget 5$"):
-        q.integrate(lambda r: r, 0.0, 1.0, breakpoints=np.linspace(0.0, 1.0, 11),
-                    max_panels=5)
+        q.integrate(lambda r: r, 0.0, 1.0, breakpoints=np.linspace(0.0, 1.0, 11))
+    monkeypatch.setattr(q, "_MAX_PANELS", 4)
     with pytest.raises(q.NonConvergence,
                        match=r"^component 1: .* on \[0.0, 10.0\] after 4 panels$"):
         q.integrate(lambda r: np.stack([r, np.sin(50.0 * r)], axis=1), 0.0, 10.0,
-                    tol=1e-15, max_panels=4)
+                    tol=1e-15)
+    monkeypatch.undo()
     # one ulp wide: the midpoint rounds onto an edge, so no bisection can help
     b = float(np.nextafter(1.0, 2.0))
 
@@ -211,6 +215,19 @@ def test_vector_components_equal_scalar_calls_without_bisection():
         assert isinstance(one.value, float) and isinstance(one.err_estimate, float)
 
 
+def test_scalar_is_the_one_component_case_through_bisection():
+    # one loop: a (n, 1) integrand bisects the same panels in the same order
+    # as the scalar one, so value, error and evals agree bit for bit
+    kw = dict(tol=1e-300, rel_tol=1e-13)
+    one = q.integrate(np.sqrt, 0.0, 1.0, **kw)
+    col = q.integrate(lambda x: np.sqrt(x)[:, None], 0.0, 1.0, **kw)
+    assert one.evals > 15 * 20  # sqrt's endpoint forces bisection
+    assert isinstance(one.value, float) and isinstance(one.err_estimate, float)
+    assert col.value.shape == col.err_estimate.shape == (1,)
+    assert (col.value[0], col.err_estimate[0], col.evals) == (
+        one.value, one.err_estimate, one.evals)
+
+
 def test_vector_bisection_driven_by_one_component_meets_every_target():
     tol, rel_tol = 1e-14, 1e-12
     res = q.integrate(lambda x: np.stack([x * x, np.sqrt(x), np.cos(x)], axis=1),
@@ -247,11 +264,12 @@ def test_vector_integrand_of_wrong_shape_is_refused():
         q.integrate(lambda x: np.zeros((len(x), 2, 2)), 0.0, 1.0)
 
 
-def test_vector_non_finite_component_fails_fast():
+def test_vector_non_finite_component_fails_fast(monkeypatch):
+    monkeypatch.setattr(q, "_MAX_PANELS", 3)
     with np.errstate(invalid="ignore"):
         with pytest.raises(q.NonConvergence, match=r"non-finite integrand on \[0.0, 1.0\]"):
-            q.integrate(lambda x: np.stack([x, np.sqrt(x - 0.5)], axis=1), 0.0, 1.0,
-                        max_panels=3)
+            q.integrate(lambda x: np.stack([x, np.sqrt(x - 0.5)], axis=1), 0.0, 1.0)
+    monkeypatch.undo()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         with pytest.raises(q.NonConvergence, match=r"non-finite integrand on \[0.0, 1.0\]"):
             q.integrate(lambda x: np.stack([x, 1.0 / x], axis=1), 0.0, 1.0)
