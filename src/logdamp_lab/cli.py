@@ -125,6 +125,9 @@ def build_config(command: str, kwargs: dict) -> RunConfig:
     tol = _field(s, "tol", _real)
     if tol <= 0:
         raise ConfigInvalid(f"tol: {tol} must be positive")
+    seed = _field(s, "seed", _integer)
+    if seed < 0:
+        raise ConfigInvalid(f"seed: {seed} must be a non-negative integer")
     profile_u0 = _field(s, "u0", lambda d: parse_profile(_text(d), N=n))
     profile_u1 = _field(s, "u1", lambda d: parse_profile(_text(d), N=n))
     if command in ("profile", "all") and not profile_u1.is_radial:
@@ -132,8 +135,7 @@ def build_config(command: str, kwargs: dict) -> RunConfig:
                             f"a radial datum, not {profile_u1.label}")
     return RunConfig(
         command=command, N=n, mode=mode, profile_u0=profile_u0, profile_u1=profile_u1,
-        tgrid=tgrid, tol=tol, out_dir=Path(_field(s, "out", _text)),
-        seed=_field(s, "seed", _integer),
+        tgrid=tgrid, tol=tol, out_dir=Path(_field(s, "out", _text)), seed=seed,
     )
 
 

@@ -225,7 +225,7 @@ def test_config_file_unknown_key(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("tol", "abc"), ("seed", "x"), ("tol", None), ("tol", math.inf),
-    ("n", 3.7), ("n", True), ("t_count", 40.9), ("out", None),
+    ("n", 3.7), ("n", True), ("t_count", 40.9), ("out", None), ("seed", -1),
 ])
 def test_config_file_values_are_checked_per_field(tmp_path, field, value):
     cfg = tmp_path / "run.json"

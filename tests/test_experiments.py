@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,12 +162,14 @@ def test_traces_equal_per_time_values_bit_for_bit(zero, u1, mode):
 
 
 def _residual_per_node(p0, p1, N, t, mode):
-    # the energy identity with one scalar inner integral per outer node
+    # the energy identity by nested quadrature: a time integral of the
+    # dissipation, one scalar radial integral per outer node
     e_start = 0.5 * xp.energy_value(p0, p1, N, 0.0, mode)
     e_end = 0.5 * xp.energy_value(p0, p1, N, t, mode)
 
     def diss(s):
-        return np.array([xp.dissipation_value(p0, p1, N, float(x), mode) for x in s])
+        return np.array([xp._spectral_quadratic(p0, p1, N, float(x), mode, wv=lambda L: L,
+                                                rel_tol=1e-10) for x in s])
 
     quarter = 0.25 * PI / carrier_frequency(mode)
     dissipated = integrate(diss, 0.0, t, tol=1e-300, rel_tol=3e-8,
@@ -174,11 +177,24 @@ def _residual_per_node(p0, p1, N, t, mode):
     return abs(e_end + dissipated - e_start) / e_start
 
 
-@pytest.mark.parametrize("mode, t", [(PropagatorMode.ODE, 1.0), (PropagatorMode.ODE, 5.0),
-                                     (PropagatorMode.PAPER, 2.0)])
-def test_energy_identity_residual_equals_per_node_loop(zero, gaussian, mode, t):
-    batched = xp.energy_identity_residual(zero, gaussian, 3, t, mode)
-    assert abs(batched - _residual_per_node(zero, gaussian, 3, t, mode)) <= 1e-14
+@pytest.mark.parametrize("u0, u1, N, mode, t", [
+    pytest.param("zero", "gaussian", 3, PropagatorMode.ODE, 1.0, id="ode-1.0"),
+    pytest.param("zero", "gaussian", 3, PropagatorMode.ODE, 5.0, id="ode-5.0"),
+    pytest.param("zero", "gaussian", 3, PropagatorMode.PAPER, 2.0, id="paper-2.0"),
+    # the quarter-frequency mode solves another equation: residuals 0.174,
+    # 5.77e-4 and 5.26e-5, which both routes give to the last digits
+    pytest.param("zero", "zero_mean_pair", 3, PropagatorMode.PAPER, 1.0, id="pair-paper-1.0"),
+    pytest.param("zero", "zero_mean_pair", 3, PropagatorMode.PAPER, 5.0, id="pair-paper-5.0"),
+    pytest.param("zero", "zero_mean_pair", 3, PropagatorMode.PAPER, 10.0,
+                 id="pair-paper-10.0"),
+    pytest.param("gaussian", "zero_mean_pair", 3, PropagatorMode.ODE, 10.0,
+                 id="gaussian-pair-ode-10.0"),
+    pytest.param("zero", "gaussian", 5, PropagatorMode.PAPER, 5.0, id="n5-paper-5.0"),
+])
+def test_energy_identity_residual_equals_per_node_loop(u0, u1, N, mode, t):
+    p0, p1 = make_profile(u0, N=N), make_profile(u1, N=N)
+    closed = xp.energy_identity_residual(p0, p1, N, t, mode)
+    assert abs(closed - _residual_per_node(p0, p1, N, t, mode)) <= 1e-14
 
 
 def test_mixed_nonradial_data_rejected(gaussian):
@@ -249,6 +265,27 @@ def test_factored_density_matches_propagate_closed(data, mode):
                 assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
+@pytest.mark.parametrize("T", [1, 34, 35, 200])
+@pytest.mark.parametrize("n", [15, 480, 20_000])
+def test_damped_products_equal_the_elementwise_formula(T, n):
+    # bit for bit, with one to three factor pairs; at n = 480 a block holds
+    # 2^14 // 480 = 34 times, so 35 spill into a second block, and at
+    # n = 20 000 > 2^14 each time is a block of its own
+    rng = np.random.default_rng(T + n)
+    t_col = rng.uniform(0.0, 40.0, (T, 1))
+    q = rng.uniform(0.0, 3.0, n)
+    for j in (1, 2, 3):
+        a = rng.standard_normal((T, j)) * 10.0 ** rng.uniform(-6.0, 6.0, (T, j))
+        b = rng.standard_normal((j, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (j, n))
+        want = a[:, :1] * b[0]
+        for i in range(1, j):
+            want += a[:, i:i + 1] * b[i]
+        want *= np.exp(-t_col * q)
+        got = xp._damped_products(t_col, q, a, b)
+        assert got.shape == (n, T)
+        assert got.tobytes() == want.T.tobytes()
+
+
 def test_trace_integrals_take_their_seed_panels_only(monkeypatch):
     # 32 geometric seed panels; no energy or L^2 trace of the decay grids
     # bisects, which is what keeps every trace value bit for bit equal to its
@@ -275,7 +312,7 @@ def test_trace_integrals_take_their_seed_panels_only(monkeypatch):
     assert evals == [15 * 32] * 40
 
 
-@pytest.mark.parametrize("value", [xp.energy_value, xp.l2_value, xp.dissipation_value])
+@pytest.mark.parametrize("value", [xp.energy_value, xp.l2_value])
 def test_quadratic_values_refuse_negative_times(zero, gaussian, value):
     with pytest.raises(ValueError, match="t >= 0"):
         value(zero, gaussian, 3, -0.5, PropagatorMode.ODE)
@@ -779,3 +816,37 @@ def test_optimality_certifies_to_1e12(N, t_hi):
     failed = [c.description for c in rep.checks if not c.passed]
     assert all(d.startswith(_WINDOWS) for d in failed), failed
     assert not failed or N >= 20
+
+
+# ---------------------------------------------------------------------------
+# working set: numpy reports its buffers to tracemalloc
+
+
+def _traced_peak_mib(fn):
+    """Peak traced memory of a second call of fn, in MiB (the first fills the
+    caches that live for the process)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+_GRID_200 = xp.TimeGrid(100.0, 10_000.0, 200)
+
+
+# the sweep walks its 10 x 200 x 100 grid one state at a time, the identity's
+# dissipation is one radial integral, and the trace densities fill their
+# (time, node) array in blocks; the materialised routes peaked at 5.6, 3.4,
+# 2.3 and 2.3 MiB
+@pytest.mark.parametrize("run, limit", [
+    pytest.param(lambda z, g: xp.inequality_sweep(0), 2.5, id="inequality_sweep"),
+    pytest.param(lambda z, g: xp.energy_identity_residual(z, g, 3, 10.0), 0.5,
+                 id="energy_identity_residual"),
+    pytest.param(lambda z, g: xp.energy_trace(z, g, 3, _GRID_200), 1.5, id="energy_trace"),
+    pytest.param(lambda z, g: xp.run_profile(g, 3, _GRID_200), 1.5, id="run_profile"),
+])
+def test_working_set_in_mib(zero, gaussian, run, limit):
+    assert _traced_peak_mib(lambda: run(zero, gaussian)) <= limit
